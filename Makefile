@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-pools race-metrics vet fmt-check chaos pool-chaos characterize trace-smoke metrics-smoke bench bench-gate cover-pool clean
+.PHONY: all build test bench-test race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden trace-smoke metrics-smoke bench bench-gate cover-pool clean
 
 # Benchmark artifact for this PR and the committed baseline it is gated
 # against (previous PR's numbers).
@@ -14,6 +14,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Run the benchmark harness's own tests. bench/ is a separate module, so
+# the root `go test ./...` does not reach them.
+bench-test:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -78,9 +83,18 @@ race-pools:
 race-metrics:
 	$(GO) test -race ./internal/metricsplane/...
 
-# Regenerate every figure/table CSV under results/.
+# Regenerate every figure/table CSV under results/, plus report.txt
+# (characterize's stdout).
 characterize:
-	$(GO) run ./cmd/characterize -out results
+	$(GO) run ./cmd/characterize -out results > results/report.txt
+
+# Golden check: regenerate every CSV and report.txt into a temporary
+# directory and fail unless it is byte-identical to the committed results/.
+golden:
+	@tmp=$$(mktemp -d); \
+	if ! $(GO) run ./cmd/characterize -out $$tmp > $$tmp/report.txt; then \
+		rm -rf $$tmp; exit 1; fi; \
+	diff -r results $$tmp; rc=$$?; rm -rf $$tmp; exit $$rc
 
 # Smoke-test span tracing: a tiny traced STREAM run must emit valid
 # Chrome-trace JSON and a nonempty per-stage breakdown.

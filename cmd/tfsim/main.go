@@ -33,6 +33,31 @@ import (
 	"thymesim/internal/workloads/stream"
 )
 
+// buildOptions maps the seed and count flags onto the default options. A
+// zero count keeps the default; a negative one is an error rather than a
+// silent fallback to the default.
+func buildOptions(seed uint64, elements, scale, requests int) (core.Options, error) {
+	opts := core.Default()
+	opts.Seed = seed
+	for _, c := range []struct {
+		name string
+		v    int
+		dst  *int
+	}{
+		{"elements", elements, &opts.StreamElements},
+		{"scale", scale, &opts.GraphScale},
+		{"requests", requests, &opts.KVRequests},
+	} {
+		if c.v < 0 {
+			return opts, fmt.Errorf("-%s must be >= 0 (0 = default), got %d", c.name, c.v)
+		}
+		if c.v > 0 {
+			*c.dst = c.v
+		}
+	}
+	return opts, opts.Validate()
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tfsim: ")
@@ -52,18 +77,8 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := core.Default()
-	opts.Seed = *seed
-	if *elements > 0 {
-		opts.StreamElements = *elements
-	}
-	if *scale > 0 {
-		opts.GraphScale = *scale
-	}
-	if *requests > 0 {
-		opts.KVRequests = *requests
-	}
-	if err := opts.Validate(); err != nil {
+	opts, err := buildOptions(*seed, *elements, *scale, *requests)
+	if err != nil {
 		log.Fatal(err)
 	}
 	if *period < 1 {

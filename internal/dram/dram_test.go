@@ -15,7 +15,7 @@ func TestSingleAccessLatency(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, testConfig())
 	var doneAt sim.Time
-	k.At(0, func() { d.ReadLine(0, func() { doneAt = k.Now() }) })
+	k.At(0, func() { readLine(d, 0, func() { doneAt = k.Now() }) })
 	k.Run()
 	// 100ns access + 128B at 1GB/s per channel = 128ns burst.
 	want := sim.Time(100*sim.Nanosecond + 128*sim.Nanosecond)
@@ -33,8 +33,8 @@ func TestChannelParallelism(t *testing.T) {
 	var times []sim.Time
 	k.At(0, func() {
 		// Lines 0 and 1 map to different channels.
-		d.ReadLine(0, func() { times = append(times, k.Now()) })
-		d.ReadLine(ocapi.CacheLineSize, func() { times = append(times, k.Now()) })
+		readLine(d, 0, func() { times = append(times, k.Now()) })
+		readLine(d, ocapi.CacheLineSize, func() { times = append(times, k.Now()) })
 	})
 	k.Run()
 	if len(times) != 2 {
@@ -51,8 +51,8 @@ func TestSameChannelSerializesOnBus(t *testing.T) {
 	var times []sim.Time
 	k.At(0, func() {
 		// Lines 0 and 2 map to the same channel (2 channels, line%2).
-		d.ReadLine(0, func() { times = append(times, k.Now()) })
-		d.ReadLine(2*ocapi.CacheLineSize, func() { times = append(times, k.Now()) })
+		readLine(d, 0, func() { times = append(times, k.Now()) })
+		readLine(d, 2*ocapi.CacheLineSize, func() { times = append(times, k.Now()) })
 	})
 	k.Run()
 	if len(times) != 2 {
@@ -68,8 +68,8 @@ func TestWriteCounting(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, testConfig())
 	k.At(0, func() {
-		d.WriteLine(0, nil)
-		d.ReadLine(ocapi.CacheLineSize, nil)
+		writeLine(d, 0, nil)
+		readLine(d, ocapi.CacheLineSize, nil)
 	})
 	k.Run()
 	if d.Writes() != 1 || d.Reads() != 1 {
@@ -86,7 +86,7 @@ func TestQueueDepthBackpressure(t *testing.T) {
 	completed := 0
 	k.At(0, func() {
 		for i := 0; i < 10; i++ {
-			d.ReadLine(0, func() { completed++ })
+			readLine(d, 0, func() { completed++ })
 		}
 	})
 	k.Run()
@@ -108,7 +108,7 @@ func TestSustainedBandwidth(t *testing.T) {
 	const n = 4000
 	k.At(0, func() {
 		for i := 0; i < n; i++ {
-			d.ReadLine(uint64(i)*ocapi.CacheLineSize, nil)
+			readLine(d, uint64(i)*ocapi.CacheLineSize, nil)
 		}
 	})
 	end := k.Run()
@@ -135,7 +135,7 @@ func TestContentionHalvesPerFlowBandwidth(t *testing.T) {
 			for f := 0; f < flows; f++ {
 				f := f
 				for i := 0; i < perFlow; i++ {
-					d.ReadLine(uint64(i)*ocapi.CacheLineSize, func() {
+					readLine(d, uint64(i)*ocapi.CacheLineSize, func() {
 						done++
 						if f == 0 {
 							flowBytes += ocapi.CacheLineSize
@@ -186,5 +186,46 @@ func TestAccessSizePanics(t *testing.T) {
 			t.Error("zero-size access did not panic")
 		}
 	}()
-	d.Access(0, 0, false, nil)
+	d.AccessSpanH(0, 0, false, nil, 0, nil, 0)
+}
+
+// TestAccessSpanHNilHandlerRecycles checks that an access without a
+// completion handler still runs its channel traversal to the end and
+// returns its pooled context for the next access to reuse.
+func TestAccessSpanHNilHandlerRecycles(t *testing.T) {
+	k := sim.NewKernel()
+	d := New(k, testConfig())
+	d.AccessSpanH(0, ocapi.CacheLineSize, false, nil, 0, nil, 0)
+	if d.free != nil {
+		t.Fatal("in-flight access left its context on the free list")
+	}
+	k.Run()
+	if d.Reads() != 1 || d.Bytes() != ocapi.CacheLineSize {
+		t.Fatalf("reads=%d bytes=%d, want 1/%d", d.Reads(), d.Bytes(), ocapi.CacheLineSize)
+	}
+	c := d.free
+	if c == nil || c.h != nil || c.tr != nil {
+		t.Fatalf("context not recycled clean: %+v", c)
+	}
+	d.AccessSpanH(0, ocapi.CacheLineSize, true, nil, 0, nil, 0)
+	if d.free != nil {
+		t.Fatal("second access did not reuse the recycled context")
+	}
+	k.Run()
+	if d.free != c || d.Writes() != 1 {
+		t.Fatalf("free=%p (want %p) writes=%d", d.free, c, d.Writes())
+	}
+}
+
+// readLine and writeLine issue one untraced cache-line access that calls
+// done (nil allowed) on completion.
+func readLine(d *DRAM, addr uint64, done func())  { lineAccess(d, addr, false, done) }
+func writeLine(d *DRAM, addr uint64, done func()) { lineAccess(d, addr, true, done) }
+
+func lineAccess(d *DRAM, addr uint64, write bool, done func()) {
+	var h sim.Handler
+	if done != nil {
+		h = sim.Func(done)
+	}
+	d.AccessSpanH(addr, ocapi.CacheLineSize, write, nil, 0, h, 0)
 }

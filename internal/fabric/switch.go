@@ -101,6 +101,40 @@ type Switch struct {
 	// drop counter. Both nil when the metrics plane is disabled.
 	mx        []*metricsplane.SwitchPortMetrics
 	mxDropped *metricsplane.Counter
+
+	// free is an intrusive free list of hop contexts; each beat in the
+	// forwarding pipeline borrows one, so a warmed switch forwards
+	// without allocating.
+	free *hop
+}
+
+// hop carries one beat through the switch latency to its output queue:
+// the switch's pooled continuation, with the beat and its destination in
+// the struct instead of a captured closure.
+type hop struct {
+	s    *Switch
+	b    axis.Beat
+	dst  int
+	next *hop
+}
+
+// Handle implements sim.Handler: the beat lands at its output and the
+// context returns to the pool.
+func (h *hop) Handle(uint64) {
+	s, b, dst := h.s, h.b, h.dst
+	h.b = axis.Beat{} // drop payload refs before pooling
+	h.next = s.free
+	s.free = h
+	out := s.ports[dst].Out
+	s.outInflight[dst]--
+	s.forwarded++
+	out.Push(b)
+	if out.Len() > s.peakOcc[dst] {
+		s.peakOcc[dst] = out.Len()
+	}
+	if s.mx != nil {
+		s.mx[dst].Forwarded(out.Len(), s.peakOcc[dst])
+	}
 }
 
 // NewSwitch builds the switch and its port FIFOs; devices are attached by
@@ -177,17 +211,15 @@ func (s *Switch) forwardLoop(port int, in *axis.FIFO, outs []*axis.FIFO) {
 			}
 			b, _ := in.Pop()
 			inflight[dst]++
-			s.k.After(s.cfg.SwitchLatency, func() {
-				inflight[dst]--
-				s.forwarded++
-				out.Push(b)
-				if out.Len() > s.peakOcc[dst] {
-					s.peakOcc[dst] = out.Len()
-				}
-				if s.mx != nil {
-					s.mx[dst].Forwarded(out.Len(), s.peakOcc[dst])
-				}
-			})
+			h := s.free
+			if h == nil {
+				h = &hop{s: s}
+			} else {
+				s.free = h.next
+				h.next = nil
+			}
+			h.b, h.dst = b, dst
+			s.k.AfterH(s.cfg.SwitchLatency, h, 0)
 		}
 	}
 	s.kicks[port] = kick

@@ -24,20 +24,14 @@ func NewDRAMBackend(mem *dram.DRAM) *DRAMBackend { return &DRAMBackend{mem: mem}
 func (b *DRAMBackend) SetTracer(tr *obs.Tracer) { b.tracer = tr }
 
 // ReadLine implements LineBackend.
-func (b *DRAMBackend) ReadLine(addr uint64, done func()) { b.mem.ReadLine(addr, done) }
-
-// ReadLineSpan implements SpanBackend.
-func (b *DRAMBackend) ReadLineSpan(addr uint64, sp obs.SpanID, done func()) {
-	b.mem.AccessSpan(addr, ocapi.CacheLineSize, false, b.tracer, sp, done)
-}
-
-// ReadLineSpanH implements HandlerBackend.
-func (b *DRAMBackend) ReadLineSpanH(addr uint64, sp obs.SpanID, h sim.Handler, arg uint64) {
+func (b *DRAMBackend) ReadLine(addr uint64, sp obs.SpanID, h sim.Handler, arg uint64) {
 	b.mem.AccessSpanH(addr, ocapi.CacheLineSize, false, b.tracer, sp, h, arg)
 }
 
 // WriteLine implements LineBackend.
-func (b *DRAMBackend) WriteLine(addr uint64, done func()) { b.mem.WriteLine(addr, done) }
+func (b *DRAMBackend) WriteLine(addr uint64, h sim.Handler, arg uint64) {
+	b.mem.AccessSpanH(addr, ocapi.CacheLineSize, true, nil, 0, h, arg)
+}
 
 // Sender is the slice of the NIC the remote backend needs (satisfied by
 // *tfnic.NIC).
@@ -119,10 +113,8 @@ type rtxn struct {
 	// poisonedResp records that the delivered response carried poison (the
 	// outcome feed and the completion run one port hop after delivery).
 	poisonedResp bool
-	// Completion: done for closure callers (LineBackend), or h/arg for
-	// the pooled fill path. At most one is set; both may be nil for
-	// fire-and-forget writebacks.
-	done func()
+	// Completion handler; nil for fire-and-forget writebacks and
+	// prefetches.
 	h    sim.Handler
 	arg  uint64
 	next *rtxn
@@ -175,7 +167,7 @@ func (t *rtxn) Handle(stage uint64) {
 		now := b.k.Now()
 		b.mx.FillDone(now.Sub(t.issued).Micros(), t.op == ocapi.OpWriteBlock, t.poisonedResp, now.Micros())
 	}
-	done, h, arg := t.done, t.h, t.arg
+	h, arg := t.h, t.arg
 	b.recycle(t)
 	b.tagsRelease(tag)
 	b.pump()
@@ -184,8 +176,6 @@ func (t *rtxn) Handle(stage uint64) {
 	}
 	if h != nil {
 		h.Handle(arg)
-	} else if done != nil {
-		done()
 	}
 }
 
@@ -196,7 +186,7 @@ func (t *rtxn) Handle(stage uint64) {
 func (b *RemoteBackend) recycle(t *rtxn) {
 	b.k.CancelTimer(t.dl)
 	t.dl = sim.TimerID{}
-	t.done, t.h = nil, nil
+	t.h = nil
 	t.next = b.free
 	b.free = t
 }
@@ -215,8 +205,8 @@ func (b *RemoteBackend) expire(t *rtxn) {
 		b.reads++
 	}
 	b.mx.FillExpired(t.op == ocapi.OpWriteBlock, b.k.Now().Micros())
-	done, h, arg := t.done, t.h, t.arg
-	t.done, t.h = nil, nil
+	h, arg := t.h, t.arg
+	t.h = nil
 	if t.tag == tagNone {
 		// Never sent. If it still waits in the send queue, withdraw it;
 		// otherwise it is mid port-hop and Handle(0) cleans up.
@@ -237,8 +227,6 @@ func (b *RemoteBackend) expire(t *rtxn) {
 	}
 	if h != nil {
 		h.Handle(arg)
-	} else if done != nil {
-		done()
 	}
 }
 
@@ -350,35 +338,17 @@ func (b *RemoteBackend) Outstanding() int { return b.tags.Outstanding() }
 func (b *RemoteBackend) QueuedSends() int { return len(b.sendQ) }
 
 // ReadLine implements LineBackend.
-func (b *RemoteBackend) ReadLine(addr uint64, done func()) {
-	t := b.newTxn(ocapi.OpReadBlock, addr, 0)
-	t.done = done
-	b.issue(t)
-}
-
-// ReadLineSpan implements SpanBackend.
-func (b *RemoteBackend) ReadLineSpan(addr uint64, sp obs.SpanID, done func()) {
-	t := b.newTxn(ocapi.OpReadBlock, addr, sp)
-	t.done = done
-	b.issue(t)
-}
-
-// ReadLineSpanH implements HandlerBackend: the closure-free fill path.
-func (b *RemoteBackend) ReadLineSpanH(addr uint64, sp obs.SpanID, h sim.Handler, arg uint64) {
-	t := b.newTxn(ocapi.OpReadBlock, addr, sp)
-	t.h, t.arg = h, arg
-	b.issue(t)
+func (b *RemoteBackend) ReadLine(addr uint64, sp obs.SpanID, h sim.Handler, arg uint64) {
+	b.issue(b.newTxn(ocapi.OpReadBlock, addr, sp, h, arg))
 }
 
 // WriteLine implements LineBackend.
-func (b *RemoteBackend) WriteLine(addr uint64, done func()) {
-	t := b.newTxn(ocapi.OpWriteBlock, addr, 0)
-	t.done = done
-	b.issue(t)
+func (b *RemoteBackend) WriteLine(addr uint64, h sim.Handler, arg uint64) {
+	b.issue(b.newTxn(ocapi.OpWriteBlock, addr, 0, h, arg))
 }
 
 // newTxn borrows a transaction context from the free list.
-func (b *RemoteBackend) newTxn(op ocapi.Op, addr uint64, sp obs.SpanID) *rtxn {
+func (b *RemoteBackend) newTxn(op ocapi.Op, addr uint64, sp obs.SpanID, h sim.Handler, arg uint64) *rtxn {
 	t := b.free
 	if t == nil {
 		t = &rtxn{b: b}
@@ -386,7 +356,7 @@ func (b *RemoteBackend) newTxn(op ocapi.Op, addr uint64, sp obs.SpanID) *rtxn {
 		b.free = t.next
 		t.next = nil
 	}
-	t.op, t.addr, t.sp = op, ocapi.LineAlign(addr), sp
+	t.op, t.addr, t.sp, t.h, t.arg = op, ocapi.LineAlign(addr), sp, h, arg
 	t.tag = tagNone
 	t.expired, t.poisonedResp = false, false
 	return t

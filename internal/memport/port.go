@@ -20,29 +20,17 @@ import (
 // ≈ 16.5 kB, the BDP the paper measures in Fig. 3.
 const DefaultMSHRs = 129
 
-// LineBackend services whole cache lines asynchronously.
+// LineBackend services whole cache lines asynchronously. Completion is
+// h.Handle(arg); a nil h asks for none (posted writebacks, prefetches).
 type LineBackend interface {
-	// ReadLine fetches the line at addr and calls done when data arrives.
-	ReadLine(addr uint64, done func())
-	// WriteLine writes the line at addr and calls done (may be nil) when
-	// the write is acknowledged.
-	WriteLine(addr uint64, done func())
-}
-
-// SpanBackend is an optional LineBackend extension: backends that can
-// attribute their per-stage latency to an obs span implement it, and a
-// traced Hierarchy routes line fills through it. sp may be zero (the fill
-// was sampled out), in which case it behaves exactly like ReadLine.
-type SpanBackend interface {
-	ReadLineSpan(addr uint64, sp obs.SpanID, done func())
-}
-
-// HandlerBackend is the closure-free LineBackend extension: h.Handle(arg)
-// fires when the line arrives. The in-tree backends implement it; the
-// Hierarchy falls back to ReadLine with a cached closure for third-party
-// backends that don't.
-type HandlerBackend interface {
-	ReadLineSpanH(addr uint64, sp obs.SpanID, h sim.Handler, arg uint64)
+	// ReadLine fetches the line at addr and calls h.Handle(arg) when data
+	// arrives. sp is the fill's trace span (zero when untraced or sampled
+	// out); backends that can attribute their per-stage latency do so
+	// against it.
+	ReadLine(addr uint64, sp obs.SpanID, h sim.Handler, arg uint64)
+	// WriteLine writes the line at addr and calls h.Handle(arg) when the
+	// write is acknowledged.
+	WriteLine(addr uint64, h sim.Handler, arg uint64)
 }
 
 // Stats aggregates hierarchy-level counters.
@@ -67,8 +55,6 @@ type Hierarchy struct {
 	onMiss   func(lineAddr uint64) // prefetcher hook
 
 	tracer *obs.Tracer // nil when tracing is disabled
-	spanBE SpanBackend // backend's traced read path, if it has one
-	hndlBE HandlerBackend
 
 	// freeAccess and freeFills recycle the per-access join contexts and
 	// per-miss fill continuations, so a warmed-up hierarchy resolves
@@ -94,10 +80,7 @@ type fillCtx struct {
 	lineAddr uint64
 	issued   sim.Time
 	sp       obs.SpanID
-	// fn is the lazily built, cached fallback closure for backends that
-	// do not implement HandlerBackend; amortized by pooling.
-	fn   func()
-	next *fillCtx
+	next     *fillCtx
 }
 
 // Handle implements sim.Handler.
@@ -105,15 +88,7 @@ func (fc *fillCtx) Handle(stage uint64) {
 	h := fc.h
 	if stage == 0 {
 		// MSHR granted: issue the line read.
-		if fc.sp != 0 && h.spanBE != nil && h.hndlBE == nil {
-			h.spanBE.ReadLineSpan(fc.lineAddr, fc.sp, fc.doneFn())
-			return
-		}
-		if h.hndlBE != nil {
-			h.hndlBE.ReadLineSpanH(fc.lineAddr, fc.sp, fc, 1)
-			return
-		}
-		h.backend.ReadLine(fc.lineAddr, fc.doneFn())
+		h.backend.ReadLine(fc.lineAddr, fc.sp, fc, 1)
 		return
 	}
 	// Line arrived.
@@ -140,30 +115,19 @@ func (fc *fillCtx) Handle(stage uint64) {
 	}
 }
 
-// doneFn returns the cached closure completing this fill, for backends
-// without a handler path.
-func (fc *fillCtx) doneFn() func() {
-	if fc.fn == nil {
-		fc.fn = func() { fc.Handle(1) }
-	}
-	return fc.fn
-}
-
 // NewHierarchy builds a hierarchy with the given LLC and backend. mshrs
 // bounds outstanding line fills.
 func NewHierarchy(k *sim.Kernel, llc *cache.Cache, backend LineBackend, mshrs int) *Hierarchy {
 	if mshrs <= 0 {
 		panic("memport: mshrs must be positive")
 	}
-	h := &Hierarchy{
+	return &Hierarchy{
 		k:       k,
 		llc:     llc,
 		backend: backend,
 		mshr:    sim.NewCreditPool(k, mshrs),
 		fillLat: metrics.NewHistogram(0.001), // 1ns first bucket, in us
 	}
-	h.hndlBE, _ = backend.(HandlerBackend)
-	return h
 }
 
 // Stats returns the counters so far.
@@ -196,7 +160,6 @@ func (h *Hierarchy) SetTracer(tr *obs.Tracer) {
 		return
 	}
 	h.tracer = tr
-	h.spanBE, _ = h.backend.(SpanBackend)
 	h.llc.OnEviction(func(victimAddr uint64, dirty bool) {
 		name := "llc_evict"
 		if dirty {
@@ -225,7 +188,7 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool, done func()) {
 		if res.Writeback {
 			h.stats.Writebacks++
 			h.stats.BytesMoved += ocapi.CacheLineSize
-			h.backend.WriteLine(res.VictimAddr, nil)
+			h.backend.WriteLine(res.VictimAddr, nil, 0)
 		}
 		if res.Hit {
 			continue

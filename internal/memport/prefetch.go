@@ -107,13 +107,13 @@ func (p *Prefetcher) runAhead(s *pfStream, demandLine uint64) {
 		if res.Writeback {
 			p.h.stats.Writebacks++
 			p.h.stats.BytesMoved += ocapi.CacheLineSize
-			p.h.backend.WriteLine(res.VictimAddr, nil)
+			p.h.backend.WriteLine(res.VictimAddr, nil, 0)
 		}
 		if res.Hit {
 			continue
 		}
 		p.issued++
 		p.h.stats.BytesMoved += ocapi.CacheLineSize
-		p.h.backend.ReadLine(addr, nil)
+		p.h.backend.ReadLine(addr, 0, nil, 0)
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"thymesim/internal/memport"
 	"thymesim/internal/metricsplane"
+	"thymesim/internal/obs"
 	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
 )
@@ -211,12 +212,27 @@ func (m *Migrator) state(addr uint64) *pageState {
 }
 
 // ReadLine implements memport.LineBackend.
-func (m *Migrator) ReadLine(addr uint64, done func()) { m.access(addr, false, done) }
+func (m *Migrator) ReadLine(addr uint64, sp obs.SpanID, h sim.Handler, arg uint64) {
+	if local, ok := m.route(addr); ok {
+		m.local.ReadLine(local, sp, h, arg)
+	} else {
+		m.remote.ReadLine(addr, sp, h, arg)
+	}
+}
 
 // WriteLine implements memport.LineBackend.
-func (m *Migrator) WriteLine(addr uint64, done func()) { m.access(addr, true, done) }
+func (m *Migrator) WriteLine(addr uint64, h sim.Handler, arg uint64) {
+	if local, ok := m.route(addr); ok {
+		m.local.WriteLine(local, h, arg)
+	} else {
+		m.remote.WriteLine(addr, h, arg)
+	}
+}
 
-func (m *Migrator) access(addr uint64, write bool, done func()) {
+// route accounts one access to addr and decides where it is served: the
+// local frame address and true for a resident page, false for the remote
+// path (possibly starting the page's promotion).
+func (m *Migrator) route(addr uint64) (uint64, bool) {
 	st := m.state(addr)
 	if !st.local {
 		if m.degraded || m.rangeDegraded(addr) {
@@ -232,24 +248,14 @@ func (m *Migrator) access(addr uint64, write bool, done func()) {
 	if st.local {
 		m.stats.LocalAccesses++
 		m.mx.Localized()
-		local := st.frame + (addr & uint64(m.cfg.PageBytes-1))
-		if write {
-			m.local.WriteLine(local, done)
-		} else {
-			m.local.ReadLine(local, done)
-		}
-		return
+		return st.frame + (addr & uint64(m.cfg.PageBytes-1)), true
 	}
 	m.stats.RemoteAccesses++
 	st.touches++
 	if !st.migrating && st.touches >= m.cfg.HotThreshold {
 		m.promote(m.pageOf(addr), st)
 	}
-	if write {
-		m.remote.WriteLine(addr, done)
-	} else {
-		m.remote.ReadLine(addr, done)
-	}
+	return 0, false
 }
 
 // promote copies the page to a local frame, then flips residency. The copy
@@ -278,13 +284,13 @@ func (m *Migrator) promote(pg uint64, st *pageState) {
 		}
 		off := uint64(next * ocapi.CacheLineSize)
 		next++
-		m.remote.ReadLine(pg+off, func() {
+		m.remote.ReadLine(pg+off, 0, sim.Func(func() {
 			m.stats.CopiedLines++
-			m.local.WriteLine(frame+off, func() {
+			m.local.WriteLine(frame+off, sim.Func(func() {
 				wg.Done()
 				launch()
-			})
-		})
+			}), 0)
+		}), 0)
 	}
 	for i := 0; i < copyWindow && i < lines; i++ {
 		launch()

@@ -3,6 +3,7 @@ package migrate
 import (
 	"testing"
 
+	"thymesim/internal/obs"
 	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
 )
@@ -16,24 +17,36 @@ type countBackend struct {
 	addrs   []uint64
 }
 
-func (f *countBackend) ReadLine(addr uint64, done func()) {
+func (f *countBackend) ReadLine(addr uint64, sp obs.SpanID, h sim.Handler, arg uint64) {
 	f.reads++
+	f.complete(addr, h, arg)
+}
+
+func (f *countBackend) WriteLine(addr uint64, h sim.Handler, arg uint64) {
+	f.writes++
+	f.complete(addr, h, arg)
+}
+
+func (f *countBackend) complete(addr uint64, h sim.Handler, arg uint64) {
 	f.addrs = append(f.addrs, addr)
 	f.k.After(f.latency, func() {
-		if done != nil {
-			done()
+		if h != nil {
+			h.Handle(arg)
 		}
 	})
 }
 
-func (f *countBackend) WriteLine(addr uint64, done func()) {
-	f.writes++
-	f.addrs = append(f.addrs, addr)
-	f.k.After(f.latency, func() {
-		if done != nil {
-			done()
-		}
-	})
+// readLine and writeLine issue one untraced line operation on m that
+// calls done (nil allowed) on completion.
+func readLine(m *Migrator, addr uint64, done func()) { m.ReadLine(addr, 0, handler(done), 0) }
+
+func writeLine(m *Migrator, addr uint64, done func()) { m.WriteLine(addr, handler(done), 0) }
+
+func handler(done func()) sim.Handler {
+	if done == nil {
+		return nil
+	}
+	return sim.Func(done)
 }
 
 func smallConfig() Config {
@@ -56,8 +69,8 @@ func TestColdAccessesGoRemote(t *testing.T) {
 	k, m, remote, local := setup()
 	done := 0
 	k.At(0, func() {
-		m.ReadLine(0, func() { done++ })
-		m.WriteLine(128, func() { done++ })
+		readLine(m, 0, func() { done++ })
+		writeLine(m, 128, func() { done++ })
 	})
 	k.Run()
 	if done != 2 || remote.reads != 1 || remote.writes != 1 || local.reads+local.writes != 0 {
@@ -76,7 +89,7 @@ func TestHotPagePromotes(t *testing.T) {
 			if i == 4 {
 				return
 			}
-			m.ReadLine(uint64(i)*128, func() { touch(i + 1) })
+			readLine(m, uint64(i)*128, func() { touch(i + 1) })
 		}
 		touch(0)
 	})
@@ -97,7 +110,7 @@ func TestHotPagePromotes(t *testing.T) {
 	}
 	// Post-promotion accesses are local, at the remapped frame.
 	before := local.reads
-	k.At(k.Now(), func() { m.ReadLine(256, nil) })
+	k.At(k.Now(), func() { readLine(m, 256, nil) })
 	k.Run()
 	if local.reads != before+1 {
 		t.Fatal("post-promotion access not local")
@@ -115,11 +128,11 @@ func TestMidMigrationAccessesStayRemote(t *testing.T) {
 	k, m, remote, _ := setup()
 	k.At(0, func() {
 		for i := 0; i < 4; i++ {
-			m.ReadLine(uint64(i)*128, nil) // trips the threshold, starts copy
+			readLine(m, uint64(i)*128, nil) // trips the threshold, starts copy
 		}
 	})
 	// Immediately access again while the copy (1us per line) is running.
-	k.At(sim.Time(100), func() { m.ReadLine(0, nil) })
+	k.At(sim.Time(100), func() { readLine(m, 0, nil) })
 	k.RunUntil(sim.Time(200))
 	if got := remote.reads; got < 5 {
 		t.Fatalf("mid-migration access not remote: remote reads = %d", got)
@@ -136,7 +149,7 @@ func TestFrameBudgetRejects(t *testing.T) {
 		for pg := 0; pg < 3; pg++ {
 			base := uint64(pg) * 1024
 			for i := 0; i < 4; i++ {
-				m.ReadLine(base+uint64(i)*128, nil)
+				readLine(m, base+uint64(i)*128, nil)
 			}
 		}
 	})
@@ -155,7 +168,7 @@ func TestDistinctFramesPerPage(t *testing.T) {
 		for pg := 0; pg < 2; pg++ {
 			base := uint64(pg) * 1024
 			for i := 0; i < 4; i++ {
-				m.ReadLine(base+uint64(i)*128, nil)
+				readLine(m, base+uint64(i)*128, nil)
 			}
 		}
 	})
@@ -201,9 +214,9 @@ func TestDegradeLocalizesNewPages(t *testing.T) {
 		}
 		// Two pages, never seen before: both must be served locally with
 		// zero remote traffic and zero copy traffic.
-		m.ReadLine(0, func() { done++ })
-		m.WriteLine(1024, func() { done++ })
-		m.ReadLine(64, func() { done++ }) // same page as the first
+		readLine(m, 0, func() { done++ })
+		writeLine(m, 1024, func() { done++ })
+		readLine(m, 64, func() { done++ }) // same page as the first
 	})
 	k.Run()
 	if done != 3 {
@@ -231,7 +244,7 @@ func TestDegradeExceedsFrameBudget(t *testing.T) {
 	k.At(0, func() {
 		m.Degrade()
 		for i := 0; i < 4; i++ {
-			m.ReadLine(uint64(i)*1024, func() { done++ })
+			readLine(m, uint64(i)*1024, func() { done++ })
 		}
 	})
 	k.Run()
@@ -249,10 +262,10 @@ func TestDegradePreservesPromotedPages(t *testing.T) {
 			if i == 16 {
 				m.Degrade()
 				// Subsequent accesses stay on the promoted frame.
-				m.ReadLine(0, nil)
+				readLine(m, 0, nil)
 				return
 			}
-			m.ReadLine(uint64(i%8)*128, func() { touch(i + 1) })
+			readLine(m, uint64(i%8)*128, func() { touch(i + 1) })
 		}
 		touch(0)
 	})
@@ -279,10 +292,10 @@ func TestDegradeMidMigrationDoesNotDoubleAssign(t *testing.T) {
 		touch = func(i int) {
 			if i == 4 {
 				m.Degrade()
-				m.ReadLine(0, nil) // localizes while the copy is in flight
+				readLine(m, 0, nil) // localizes while the copy is in flight
 				return
 			}
-			m.ReadLine(uint64(i)*128, func() { touch(i + 1) })
+			readLine(m, uint64(i)*128, func() { touch(i + 1) })
 		}
 		touch(0)
 	})
@@ -307,9 +320,9 @@ func TestDegradeRangeLocalizesOnlyThatRange(t *testing.T) {
 	const pageB = uint64(0x20000) // stays healthy
 	m.DegradeRange(pageA, 1024)
 	k.At(0, func() {
-		m.ReadLine(pageA, nil)
-		m.ReadLine(pageA+ocapi.CacheLineSize, nil)
-		m.ReadLine(pageB, nil)
+		readLine(m, pageA, nil)
+		readLine(m, pageA+ocapi.CacheLineSize, nil)
+		readLine(m, pageB, nil)
 	})
 	k.Run()
 	if remote.reads != 1 {
@@ -338,9 +351,9 @@ func TestDegradeRangeWidensToPages(t *testing.T) {
 	// one byte of page 0x10400.
 	m.DegradeRange(0x10000+1024-ocapi.CacheLineSize, ocapi.CacheLineSize+1)
 	k.At(0, func() {
-		m.ReadLine(0x10000, nil) // head of first touched page: localized
-		m.ReadLine(0x10400, nil) // second touched page: localized
-		m.ReadLine(0x10800, nil) // past the widened range: remote
+		readLine(m, 0x10000, nil) // head of first touched page: localized
+		readLine(m, 0x10400, nil) // second touched page: localized
+		readLine(m, 0x10800, nil) // past the widened range: remote
 	})
 	k.Run()
 	if local.reads != 2 || remote.reads != 1 {

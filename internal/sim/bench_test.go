@@ -21,6 +21,31 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 	k.Run()
 }
 
+// selfTick is a handler that reschedules itself until it has run n times.
+type selfTick struct {
+	k    *Kernel
+	n, N int
+}
+
+func (t *selfTick) Handle(uint64) {
+	t.n++
+	if t.n < t.N {
+		t.k.AfterH(Nanosecond, t, 0)
+	}
+}
+
+// BenchmarkKernelHandlerThroughput is KernelEventThroughput on the handler
+// path the datapath uses (AfterH), so the two differ only by the sim.Func
+// adapter the closure path goes through.
+func BenchmarkKernelHandlerThroughput(b *testing.B) {
+	k := NewKernel()
+	t := &selfTick{k: k, N: b.N}
+	k.AfterH(Nanosecond, t, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
 // BenchmarkKernelHeapChurn measures scheduling with a deep pending queue.
 func BenchmarkKernelHeapChurn(b *testing.B) {
 	k := NewKernel()

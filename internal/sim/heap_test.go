@@ -83,18 +83,19 @@ func TestHeapMatchesReference(t *testing.T) {
 // compares against a stable sort.
 func TestHeapPushPopSortedOrder(t *testing.T) {
 	rng := NewRand(7)
-	var h eventHeap
+	var h eventPQ
 	var want []event
 	for i := 0; i < 2000; i++ {
-		e := event{at: Time(rng.Intn(100)), seq: uint64(i)}
-		h.push(e)
+		// arg mirrors seq so the popped event identifies itself.
+		e := event{at: Time(rng.Intn(100)), seq: uint64(i), arg: uint64(i)}
+		h.push(e.at, e.seq, e.arg, nil)
 		want = append(want, e)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
 	for i, w := range want {
-		got := h.pop()
-		if got.at != w.at || got.seq != w.seq {
-			t.Fatalf("pop %d = (at=%v seq=%d), want (at=%v seq=%d)", i, got.at, got.seq, w.at, w.seq)
+		at, _, arg := h.pop()
+		if at != w.at || arg != w.seq {
+			t.Fatalf("pop %d = (at=%v seq=%d), want (at=%v seq=%d)", i, at, arg, w.at, w.seq)
 		}
 	}
 	if len(h) != 0 {
@@ -102,17 +103,18 @@ func TestHeapPushPopSortedOrder(t *testing.T) {
 	}
 }
 
-// handlerProbe records dispatch order for TestDualHeapMergeOrder.
+// handlerProbe records dispatch order for TestClosureAndHandlerEventsInterleave.
 type handlerProbe struct {
 	order *[]uint64
 }
 
 func (p *handlerProbe) Handle(arg uint64) { *p.order = append(*p.order, arg) }
 
-// TestDualHeapMergeOrder pins the merge contract between the closure heap
-// and the handler heap: events interleave strictly by (at, seq) no matter
-// which heap holds them, including closures and handlers at equal instants.
-func TestDualHeapMergeOrder(t *testing.T) {
+// TestClosureAndHandlerEventsInterleave pins the one-queue contract: At
+// closures (wrapped in Func) and AtH handlers interleave strictly by
+// (at, seq), including closures and handlers at equal instants and
+// same-instant work that rides the immediate ring.
+func TestClosureAndHandlerEventsInterleave(t *testing.T) {
 	rng := NewRand(11)
 	k := NewKernel()
 	var order []uint64
@@ -122,7 +124,7 @@ func TestDualHeapMergeOrder(t *testing.T) {
 	type sched struct {
 		at  Time
 		id  uint64
-		use bool // handler heap
+		use bool // AtH rather than At
 	}
 	var plan []sched
 	for i := 0; i < total; i++ {
@@ -166,11 +168,25 @@ func TestSchedulePathZeroAlloc(t *testing.T) {
 	}
 	k.Run()
 	fn := func() {}
-	allocs := testing.AllocsPerRun(1000, func() {
-		k.After(Nanosecond, fn)
-		k.RunUntil(k.Now().Add(Nanosecond))
-	})
-	if allocs != 0 {
-		t.Fatalf("schedule/dispatch cycle allocates %.1f per op, want 0", allocs)
+	var h handlerProbe
+	order := make([]uint64, 0, 4096)
+	h.order = &order
+	for _, tc := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"After", func() { k.After(Nanosecond, fn) }},
+		{"At", func() { k.At(k.Now().Add(Nanosecond), fn) }},
+		{"Post", func() { k.Post(fn) }},
+		{"AfterH", func() { k.AfterH(Nanosecond, &h, 0) }},
+	} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			order = order[:0]
+			tc.schedule()
+			k.RunUntil(k.Now().Add(Nanosecond))
+		})
+		if allocs != 0 {
+			t.Errorf("%s schedule/dispatch cycle allocates %.1f per op, want 0", tc.name, allocs)
+		}
 	}
 }

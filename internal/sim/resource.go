@@ -16,33 +16,10 @@ type Server struct {
 // NewServer returns an idle server attached to k.
 func NewServer(k *Kernel) *Server { return &Server{k: k} }
 
-// Serve enqueues a job with the given service time and schedules done (if
-// non-nil) at its completion instant, which is also returned. Jobs are
-// served in arrival order.
-func (s *Server) Serve(service Duration, done func()) Time {
-	if service < 0 {
-		panic("sim: negative service time")
-	}
-	start := s.k.Now()
-	if s.freeAt > start {
-		wait := s.freeAt.Sub(start)
-		if wait > s.maxWait {
-			s.maxWait = wait
-		}
-		start = s.freeAt
-	}
-	end := start.Add(service)
-	s.freeAt = end
-	s.busy += service
-	s.served++
-	if done != nil {
-		s.k.At(end, done)
-	}
-	return end
-}
-
-// ServeH is the closure-free analog of Serve: h.Handle(arg) is scheduled
-// at the completion instant instead of a func callback.
+// ServeH enqueues a job with the given service time and schedules
+// h.Handle(arg) at its completion instant, which is also returned. A nil h
+// schedules nothing: the job only occupies the server. Jobs are served in
+// arrival order.
 func (s *Server) ServeH(service Duration, h Handler, arg uint64) Time {
 	if service < 0 {
 		panic("sim: negative service time")
@@ -59,7 +36,9 @@ func (s *Server) ServeH(service Duration, h Handler, arg uint64) Time {
 	s.freeAt = end
 	s.busy += service
 	s.served++
-	s.k.AtH(end, h, arg)
+	if h != nil {
+		s.k.AtH(end, h, arg)
+	}
 	return end
 }
 
@@ -86,8 +65,8 @@ func (s *Server) Utilization() float64 {
 }
 
 // CreditPool is a counted semaphore with a FIFO waiter queue, used to model
-// MSHR slots and OpenCAPI link credits. Acquire either succeeds immediately
-// or parks the callback until a credit is released.
+// MSHR slots and OpenCAPI link credits. AcquireH either succeeds
+// immediately or parks the handler until a credit is released.
 type CreditPool struct {
 	k        *Kernel
 	capacity int
@@ -98,10 +77,8 @@ type CreditPool struct {
 	acquires    uint64
 }
 
-// waiter is one parked acquirer: either a func callback or a Handler/arg
-// pair (exactly one is set), mirroring the two scheduling flavors.
+// waiter is one parked acquirer.
 type waiter struct {
-	fn  func()
 	h   Handler
 	arg uint64
 }
@@ -133,23 +110,9 @@ func (p *CreditPool) PeakWaiting() int { return p.peakWaiters }
 // Acquires returns the number of successful acquisitions so far.
 func (p *CreditPool) Acquires() uint64 { return p.acquires }
 
-// Acquire grants a credit to fn: immediately if one is free, otherwise when
-// a holder releases. Grants are FIFO.
-func (p *CreditPool) Acquire(fn func()) {
-	if p.avail > 0 {
-		p.avail--
-		p.acquires++
-		fn()
-		return
-	}
-	p.waiters = append(p.waiters, waiter{fn: fn})
-	if len(p.waiters) > p.peakWaiters {
-		p.peakWaiters = len(p.waiters)
-	}
-}
-
-// AcquireH is the closure-free analog of Acquire: h.Handle(arg) runs
-// synchronously if a credit is free, otherwise the pair is parked FIFO.
+// AcquireH grants a credit to h: h.Handle(arg) runs synchronously if a
+// credit is free, otherwise the pair is parked until a holder releases.
+// Grants are FIFO.
 func (p *CreditPool) AcquireH(h Handler, arg uint64) {
 	if p.avail > 0 {
 		p.avail--
@@ -184,11 +147,7 @@ func (p *CreditPool) Release() {
 		p.waiters[len(p.waiters)-1] = waiter{} // release callback refs for GC
 		p.waiters = p.waiters[:len(p.waiters)-1]
 		p.acquires++
-		if w.h != nil {
-			p.k.PostH(w.h, w.arg)
-		} else {
-			p.k.Post(w.fn)
-		}
+		p.k.PostH(w.h, w.arg)
 		return
 	}
 	p.avail++

@@ -23,7 +23,7 @@ import (
 //
 // Determinism contract: ArmTimer consumes one seq from the kernel's normal
 // band at arm time, exactly as AfterH would. When a timer becomes due its
-// cell is moved into the handler heap carrying that original (at, seq) key,
+// cell is moved into the heap carrying that original (at, seq) key,
 // so the dispatch order of live timers is byte-identical to the pre-wheel
 // schedule — the wheel only changes *where* a timer waits, never *when* it
 // fires. Cancelled timers simply never fire (they were no-ops before).
@@ -35,16 +35,16 @@ const (
 	wheelSlotMask = wheelSlots - 1
 
 	// wheelTickPs is the level-0 granularity. Timers are collected into the
-	// handler heap with their exact deadline preserved, so the tick size
+	// heap with their exact deadline preserved, so the tick size
 	// only bounds how early a cell may enter the heap, not firing accuracy.
 	wheelTickPs = int64(Microsecond)
 )
 
 // timerCell states carried in level: >= 0 means linked into that wheel
-// level, the negatives mean free-listed or already handed to the heaps.
+// level, the negatives mean free-listed or already handed to the heap.
 const (
 	cellFree    int8 = -1
-	cellPending int8 = -2 // in hq/iq (collected, or heap-fallback arm)
+	cellPending int8 = -2 // in pq/iq (collected, or heap-fallback arm)
 )
 
 // A timerCell is one armed (or pooled) timer. Cells live in batches that
@@ -111,7 +111,7 @@ type timerWheel struct {
 	cur int64
 
 	// count is the number of cells linked into slots (collected cells are
-	// accounted by the handler heap they moved to). pendingHeap counts
+	// accounted by the heap they moved to). pendingHeap counts
 	// collected-or-fallback cells whose dispatch is still outstanding.
 	count       int
 	pendingHeap int
@@ -252,7 +252,7 @@ func (w *timerWheel) nextOccupied() (int64, int) {
 
 // collectEarliest advances the cursor to the earliest occupied slot if its
 // window begins at or before bound, cascading an outer-level slot into the
-// levels below or moving a level-0 slot's cells into the handler heap with
+// levels below or moving a level-0 slot's cells into the heap with
 // their original (at, seq) keys. When the earliest slot begins after bound
 // it only refreshes the (possibly stale-low) nextLB.
 func (w *timerWheel) collectEarliest(k *Kernel, bound Time) {
@@ -276,7 +276,7 @@ func (w *timerWheel) collectEarliest(k *Kernel, bound Time) {
 			w.count--
 			w.pendingHeap++
 			w.nextDirty = true
-			k.hq.push(hEvent{at: c.at, seq: c.seq, arg: c.gen, h: c})
+			k.pq.push(c.at, c.seq, c.gen, c)
 			c = nx
 		}
 	} else {
@@ -371,7 +371,7 @@ func (k *Kernel) ArmTimer(d Duration, h Handler, arg uint64) TimerID {
 		if at == k.now {
 			k.iq = append(k.iq, ringEvent{seq: c.seq, arg: c.gen, h: c})
 		} else {
-			k.hq.push(hEvent{at: at, seq: c.seq, arg: c.gen, h: c})
+			k.pq.push(at, c.seq, c.gen, c)
 		}
 	}
 	return TimerID{c: c, gen: c.gen}
@@ -416,8 +416,8 @@ func (k *Kernel) TimerStats() TimerStats {
 }
 
 // collectTimers moves every armed wheel timer that could precede the next
-// dispatch candidate into the handler heap, so step's three-way merge sees
-// it. The cursor only ever advances to slots that are genuinely due, which
+// dispatch candidate into the heap, so step's merge of the heap top and
+// the ring head sees it. The cursor only ever advances to slots that are genuinely due, which
 // keeps it at or behind tick(now) at every dispatch and makes heap
 // fallback on arm impossible within the wheel's span.
 func (k *Kernel) collectTimers(limit Time) {
@@ -427,11 +427,8 @@ func (k *Kernel) collectTimers(limit Time) {
 		if k.iqHead < len(k.iq) && k.now < c {
 			c = k.now
 		}
-		if len(k.fq) > 0 && k.fq[0].at < c {
-			c = k.fq[0].at
-		}
-		if len(k.hq) > 0 && k.hq[0].at < c {
-			c = k.hq[0].at
+		if len(k.pq) > 0 && k.pq[0].at < c {
+			c = k.pq[0].at
 		}
 		if w.nextLB > c {
 			return

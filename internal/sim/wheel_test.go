@@ -212,7 +212,7 @@ func TestTimerWheelFiringOrder(t *testing.T) {
 func TestTimerWheelInterleavesWithEvents(t *testing.T) {
 	k := NewKernel()
 	var order []string
-	log := handlerFunc(func(arg uint64) { order = append(order, "timer") })
+	log := Func(func() { order = append(order, "timer") })
 
 	k.After(100*Microsecond, func() { order = append(order, "event-before") })
 	k.ArmTimer(100*Microsecond, log, 0)
@@ -229,10 +229,6 @@ func TestTimerWheelInterleavesWithEvents(t *testing.T) {
 		}
 	}
 }
-
-type handlerFunc func(arg uint64)
-
-func (f handlerFunc) Handle(arg uint64) { f(arg) }
 
 // --- stale cancel after recycle -------------------------------------------
 //
@@ -289,7 +285,7 @@ func TestTimerWheelStaleCancelAfterRecycle(t *testing.T) {
 }
 
 // TestTimerWheelCancelCollected cancels a timer after it has been collected
-// into the handler heap but before it dispatches: the in-heap entry must
+// into the heap but before it dispatches: the in-heap entry must
 // no-op and the id must read as cancelled.
 func TestTimerWheelCancelCollected(t *testing.T) {
 	k := NewKernel()
@@ -297,7 +293,7 @@ func TestTimerWheelCancelCollected(t *testing.T) {
 
 	// The victim's deadline (10.5µs) shares a 1µs wheel slot with the
 	// driver event at 10µs, so when step considers the 10µs event the
-	// whole slot is collected into the handler heap first. Cancelling
+	// whole slot is collected into the heap first. Cancelling
 	// from inside that event exercises the collected-cell cancel path.
 	victim := k.ArmTimer(Duration(10500*Nanosecond), log, 1)
 	k.After(10*Microsecond, func() {
