@@ -37,6 +37,27 @@ import (
 	"thymesim/internal/sim"
 )
 
+// checkFlags rejects flag combinations that cannot produce what they ask
+// for, before any experiment runs: -trace writes the breakdown run's spans,
+// so it needs that experiment; -trace-sample is a sampling stride; and
+// -metrics-out snapshots the metrics plane, which only -serve turns on.
+func checkFlags(experiment, trace string, traceSample int, serveAddr, metricsOut string) error {
+	known := append([]string{"all"}, core.ExperimentNames()...)
+	if !slices.Contains(known, experiment) {
+		return fmt.Errorf("unknown experiment %q (choose one of %s)", experiment, strings.Join(known, "|"))
+	}
+	if trace != "" && experiment != "all" && experiment != "breakdown" {
+		return fmt.Errorf("-trace needs the breakdown experiment (use -experiment all or breakdown), got -experiment %s", experiment)
+	}
+	if traceSample < 1 {
+		return fmt.Errorf("-trace-sample must be >= 1, got %d", traceSample)
+	}
+	if metricsOut != "" && serveAddr == "" {
+		return fmt.Errorf("-metrics-out needs -serve (the metrics plane is off without it)")
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("characterize: ")
@@ -57,6 +78,9 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write the final metrics snapshot in Prometheus text format to this file (needs -serve)")
 	)
 	flag.Parse()
+	if err := checkFlags(*experiment, *trace, *traceSamp, *serveAddr, *metricsOut); err != nil {
+		log.Fatal(err)
+	}
 
 	opts := core.Default()
 	if *paper {
@@ -69,10 +93,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	known := append([]string{"all"}, core.ExperimentNames()...)
-	if !slices.Contains(known, *experiment) {
-		log.Fatalf("unknown experiment %q (choose one of %s)", *experiment, strings.Join(known, "|"))
-	}
 	want := func(name string) bool { return *experiment == "all" || *experiment == name }
 
 	var plane *metricsplane.Plane
@@ -94,8 +114,6 @@ func main() {
 			}
 		}
 		plane.SweepPlanned(planned)
-	} else if *metricsOut != "" {
-		log.Fatal("-metrics-out needs -serve (the metrics plane is off without it)")
 	}
 
 	rep := &core.Report{Options: opts}
@@ -211,9 +229,6 @@ func main() {
 		log.Fatal(err)
 	}
 	if *trace != "" {
-		if rep.Breakdown == nil || rep.Breakdown.Tracer == nil {
-			log.Fatal("-trace needs the breakdown experiment (use -experiment all or breakdown)")
-		}
 		f, err := os.Create(*trace)
 		if err != nil {
 			log.Fatal(err)

@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"thymesim/internal/cluster"
+	"thymesim/internal/pool"
 	"thymesim/internal/sim"
+	"thymesim/internal/workloads/stream"
 )
 
 // fastOptions shrinks everything for tests that only check plumbing.
@@ -323,5 +326,44 @@ func TestPrefetchAblationShape(t *testing.T) {
 	}
 	if r.OnDelayedUs > r.OffDelayedUs {
 		t.Errorf("prefetch hurt under delay: %v vs %v", r.OnDelayedUs, r.OffDelayedUs)
+	}
+}
+
+// TestPoolRunQueueStats checks the kernel's self-report on a small
+// rack-scale run (one pool-contention point): the fixed-delay lanes carry
+// most of the future events.
+func TestPoolRunQueueStats(t *testing.T) {
+	o := fastOptions()
+	const borrowers, lenders = 8, 4
+	region := streamRegionBytes(o.StreamElements)
+	p := cluster.NewPool(cluster.PoolConfig{
+		Borrowers:      borrowers,
+		Lenders:        lenders,
+		Base:           o.TestbedConfig(1),
+		Placement:      pool.LeastLoaded{},
+		LenderCapacity: region * borrowers,
+	})
+	done := 0
+	for i := 0; i < borrowers; i++ {
+		r, err := p.Attach(i, region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := stream.DefaultConfig(r.Addr(0))
+		cfg.Elements = o.StreamElements
+		run := stream.New(p.K, p.Borrowers[i].NewRemoteHierarchy(), cfg)
+		p.K.At(0, func() { run.Run(func([]stream.Result) { done++ }) })
+	}
+	p.Run()
+	if done != borrowers {
+		t.Fatalf("%d of %d borrowers finished", done, borrowers)
+	}
+	qs := p.Kernel().QueueStats()
+	t.Logf("%+v", qs)
+	if qs.ToLanes <= qs.ToHeap {
+		t.Fatalf("lanes carried %d future events, the heap %d; want lanes to carry most", qs.ToLanes, qs.ToHeap)
+	}
+	if qs.Lanes != 0 || qs.LanesHigh == 0 || qs.HeapHigh == 0 {
+		t.Fatalf("QueueStats() = %+v", qs)
 	}
 }

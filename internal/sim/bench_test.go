@@ -67,6 +67,41 @@ func BenchmarkKernelHeapChurn(b *testing.B) {
 	k.Run()
 }
 
+// fixedDelayTick is one of BenchmarkKernelFixedDelays' handlers: it
+// reschedules itself with the next of rackDelays until the kernel stops.
+type fixedDelayTick struct {
+	k    *Kernel
+	i    int
+	n    *int
+	stop int
+}
+
+func (t *fixedDelayTick) Handle(uint64) {
+	if *t.n++; *t.n == t.stop {
+		t.k.Stop()
+		return
+	}
+	t.i++
+	t.k.AfterH(rackDelays[t.i&7], t, 0)
+}
+
+// BenchmarkKernelFixedDelays measures dispatch in the shape of a
+// rack-scale pool: 512 events pending, nearly all scheduled with a handful
+// of fixed delays (rackDelays, rack-churn's most used). The other kernel
+// benchmarks use one delay at depth 1 or a random one, which the
+// fixed-delay lanes never see; this is the shape they are for.
+func BenchmarkKernelFixedDelays(b *testing.B) {
+	k := NewKernel()
+	n := 0
+	for i := 0; i < 512; i++ {
+		t := &fixedDelayTick{k: k, i: i, n: &n, stop: b.N}
+		k.AfterH(rackDelays[i&7], t, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
 // BenchmarkCreditPoolCycle measures acquire/release round trips.
 func BenchmarkCreditPoolCycle(b *testing.B) {
 	k := NewKernel()

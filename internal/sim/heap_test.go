@@ -189,4 +189,29 @@ func TestSchedulePathZeroAlloc(t *testing.T) {
 			t.Errorf("%s schedule/dispatch cycle allocates %.1f per op, want 0", tc.name, allocs)
 		}
 	}
+
+	// The lane path: with the heap past the gate, three events per cycle
+	// share a delay. The first goes to the heap and records the delay, the
+	// second opens a lane while the first is pending, and the third
+	// appends to it and is dispatched through the lane's re-keyed entry.
+	for i := 0; i < 2*laneGate; i++ {
+		k.AtH(Time(Second)+Time(i), &h, 0)
+	}
+	laneCycle := func() {
+		order = order[:0]
+		k.AfterH(Nanosecond, &h, 0)
+		k.AfterH(Nanosecond, &h, 0)
+		k.AfterH(Nanosecond, &h, 0)
+		k.RunUntil(k.Now().Add(Nanosecond))
+	}
+	for i := 0; i < 64; i++ { // grow the lane's ring
+		laneCycle()
+	}
+	before := k.QueueStats().ToLanes
+	if allocs := testing.AllocsPerRun(1000, laneCycle); allocs != 0 {
+		t.Errorf("lane schedule/dispatch cycle allocates %.1f per op, want 0", allocs)
+	}
+	if got := k.QueueStats().ToLanes - before; got != 2002 {
+		t.Errorf("lane cycle routed %d events to lanes, want 2002 (two of every three)", got)
+	}
 }

@@ -54,6 +54,10 @@ func (e event) before(o event) bool {
 // slice makes the schedule path allocation-free beyond slice growth, and
 // the 4-ary shape halves the tree depth versus binary, trading a wider
 // (cache-line-friendly) sibling scan for fewer levels per sift.
+//
+// An entry with a nil handler stands for a fixed-delay lane: its key is
+// the lane head's (at, seq) and its arg the lane's slot in Kernel.lanes.
+// Every other entry is one pending event.
 type eventPQ []event
 
 // push inserts the event (at, seq, arg, hd), sifting it up from the tail.
@@ -91,38 +95,46 @@ func (h *eventPQ) pop() (Time, Handler, uint64) {
 	at, hd, arg := q[0].at, q[0].h, q[0].arg
 	n := len(q) - 1
 	if n > 0 {
-		// Sift the tail down from the root, moving the hole instead of
-		// swapping. The tail is read and moved field by field, for the
-		// same reason push writes it that way.
-		lat, lseq := q[n].at, q[n].seq
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if q[j].before(q[m]) {
-					m = j
-				}
-			}
-			if lat < q[m].at || (lat == q[m].at && lseq < q[m].seq) {
-				break
-			}
-			q[i] = q[m]
-			i = m
-		}
-		e, last := &q[i], &q[n]
-		e.at, e.seq, e.arg, e.h = last.at, last.seq, last.arg, last.h
+		// The tail is read and moved field by field, for the same reason
+		// push writes it that way.
+		last := &q[n]
+		q[:n].siftDown(last.at, last.seq, last.arg, last.h)
 	}
 	q[n] = event{} // release the handler for GC
 	*h = q[:n]
 	return at, hd, arg
+}
+
+// siftDown fills the hole at the root with (at, seq, arg, hd), moving the
+// hole down instead of swapping. pop fills it with the tail; a lane's
+// dispatch re-keys its own entry with the lane's next head, which can only
+// be later, so one sift replaces a pop and a push.
+func (q eventPQ) siftDown(at Time, seq, arg uint64, hd Handler) {
+	n := len(q)
+	i := 0
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if at < q[m].at || (at == q[m].at && seq < q[m].seq) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	e := &q[i]
+	e.at, e.seq, e.arg, e.h = at, seq, arg, hd
 }
 
 // A ringEvent is an event scheduled at the kernel's current instant,
@@ -137,10 +149,66 @@ type ringEvent struct {
 	h   Handler
 }
 
+// A lane is a FIFO ring of events that were all scheduled with the same
+// delay d. The clock never goes back and seq only grows, so events appended
+// with a fixed delay arrive already sorted by (at, seq): only the head
+// needs a place in the heap.
+type lane struct {
+	d    Duration
+	last Time    // instant of the latest delay-d event sent to the heap
+	buf  []event // ring; length is zero or a power of two
+	head int
+	n    int
+}
+
+// add appends an event at the tail, doubling the ring when it is full.
+func (l *lane) add(at Time, seq, arg uint64, h Handler) {
+	if l.n == len(l.buf) {
+		buf := make([]event, max(16, 2*len(l.buf)))
+		c := copy(buf, l.buf[l.head:])
+		copy(buf[c:], l.buf[:l.head])
+		l.buf, l.head = buf, 0
+	}
+	e := &l.buf[(l.head+l.n)&(len(l.buf)-1)]
+	e.at, e.seq, e.arg, e.h = at, seq, arg, h
+	l.n++
+}
+
+const (
+	// laneBits sizes the kernel's direct-mapped lane table. A rack-scale
+	// pool schedules almost all of its future events with about fifteen
+	// distinct delays (wire flights, delay lines, switch hops, ARQ and
+	// DRAM continuations); 64 slots keep their collisions rare.
+	laneBits  = 6
+	laneSlots = 1 << laneBits
+
+	// laneGate is the number of pending future events (heap entries plus
+	// lane-held events) from which AtH routes through the lanes at all.
+	// Below it a heap push is cheaper than the lane bookkeeping, so
+	// single-testbed runs, whose heaps hold a handful of events, keep
+	// the plain heap path.
+	laneGate = 32
+)
+
+// laneSlot maps a delay to its slot in the lane table by a multiplicative
+// (Fibonacci) hash, which spreads round picosecond delays across slots.
+func laneSlot(d Duration) uint64 { return uint64(d) * 0x9e3779b97f4a7c15 >> (64 - laneBits) }
+
 // Kernel is a single-threaded discrete-event scheduler: one (at, seq)
-// heap, the immediate ring for same-instant events, and a timer wheel
-// whose due timers are collected into the heap. The zero value is not
-// usable; create kernels with NewKernel.
+// heap, the immediate ring for same-instant events, fixed-delay lanes for
+// future events whose delay repeats, and a timer wheel whose due timers
+// are collected into the heap. The zero value is not usable; create
+// kernels with NewKernel.
+//
+// Every pending event waits in exactly one of these places, and each is
+// sorted by (at, seq): the ring and every lane because they are appended
+// in seq order at non-decreasing instants, the heap by construction. The
+// heap holds each non-empty lane's head and each collected timer, so its
+// root is the minimum of everything except the ring and the wheel, which
+// step and collectTimers merge in. (at, seq) is a strict total order, and
+// any correct merge of sorted queues yields the same sequence, so where an
+// event waits never changes when it fires: dispatch order, and with it
+// every simulated result, is independent of how events are routed.
 type Kernel struct {
 	pq        eventPQ
 	iq        []ringEvent
@@ -149,9 +217,43 @@ type Kernel struct {
 	seq       uint64
 	frontSeq  uint64
 	processed uint64
-	running   bool
-	stopped   bool
-	tw        timerWheel // cancellable timers (ArmTimer/CancelTimer)
+
+	// laneExtra counts lane-held events behind their lane's head; the
+	// heads are counted by the heap entries standing for them.
+	laneExtra int
+
+	// QueueStats counters.
+	pqHigh    int
+	toHeap    uint64
+	toLanes   uint64
+	lanesBusy int
+	lanesHigh int
+
+	running bool
+	stopped bool
+	tw      timerWheel // cancellable timers (ArmTimer/CancelTimer)
+	lanes   [laneSlots]lane
+}
+
+// QueueStats reports where the kernel's future events waited, since the
+// kernel was created.
+type QueueStats struct {
+	HeapHigh  int    // most entries the heap held at once; a busy lane is one entry
+	ToLanes   uint64 // AtH/AfterH events past the current instant that waited in a lane
+	ToHeap    uint64 // AtH/AfterH events past the current instant that waited in the heap
+	Lanes     int    // lanes holding events now
+	LanesHigh int    // most lanes holding events at once
+}
+
+// QueueStats returns the kernel's queue counters.
+func (k *Kernel) QueueStats() QueueStats {
+	return QueueStats{
+		HeapHigh:  k.pqHigh,
+		ToLanes:   k.toLanes,
+		ToHeap:    k.toHeap,
+		Lanes:     k.lanesBusy,
+		LanesHigh: k.lanesHigh,
+	}
 }
 
 // normalBand is the first seq value of the ordinary At/AtH band. Seq
@@ -174,7 +276,7 @@ func (k *Kernel) Now() Time { return k.now }
 // including timers still waiting in the wheel (collected timers are
 // already in the heap and counted there).
 func (k *Kernel) Pending() int {
-	return len(k.pq) + len(k.iq) - k.iqHead + k.tw.count
+	return len(k.pq) + k.laneExtra + len(k.iq) - k.iqHead + k.tw.count
 }
 
 // Processed reports the total number of events dispatched so far.
@@ -195,16 +297,69 @@ func (k *Kernel) Post(fn func()) { k.AtH(k.now, Func(fn), 0) }
 // pre-existing handler object instead of a freshly allocated closure lets
 // steady-state callers schedule without allocating. At, After and Post
 // funnel here, so every schedule draws from the same seq counter.
+//
+// Once the kernel holds laneGate future events, a future event rides the
+// lane of its delay when the lane pays for itself: appending to a busy
+// lane costs no heap operation at all, and an empty lane opens only when
+// its delay repeats while the previous event of that delay is still
+// pending, so its one heap entry is likely to stand for several events.
+// Everything else goes to the heap, and an empty slot retags to the delay
+// it just saw. Below the gate lanes are left alone — a heap of a few
+// entries is cheaper than the lane bookkeeping — and whatever they still
+// hold drains.
 func (k *Kernel) AtH(t Time, h Handler, arg uint64) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
-	k.seq++
-	if t == k.now {
+	if t <= k.now {
+		if t < k.now {
+			panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
+		}
+		k.seq++
 		k.iq = append(k.iq, ringEvent{seq: k.seq, arg: arg, h: h})
 		return
 	}
-	k.pq.push(t, k.seq, arg, h)
+	if h == nil {
+		panic("sim: scheduling a nil handler")
+	}
+	k.seq++
+	if len(k.pq)+k.laneExtra >= laneGate && k.toLane(t, h, arg) {
+		return
+	}
+	k.push(t, k.seq, arg, h)
+	k.toHeap++
+}
+
+// toLane appends the event AtH is scheduling to the lane of its delay and
+// reports true, or reports false when the event belongs in the heap; an
+// empty slot then records the event's delay and instant.
+func (k *Kernel) toLane(t Time, h Handler, arg uint64) bool {
+	d := t.Sub(k.now)
+	s := laneSlot(d)
+	ln := &k.lanes[s]
+	switch {
+	case ln.n > 0:
+		if ln.d != d {
+			return false
+		}
+		k.laneExtra++
+	case ln.d == d && ln.last > k.now:
+		k.push(t, k.seq, s, nil)
+		if k.lanesBusy++; k.lanesBusy > k.lanesHigh {
+			k.lanesHigh = k.lanesBusy
+		}
+	default:
+		ln.d, ln.last = d, t
+		return false
+	}
+	ln.add(t, k.seq, arg, h)
+	k.toLanes++
+	return true
+}
+
+// push inserts an entry into the heap and tracks its high-water mark.
+func (k *Kernel) push(at Time, seq, arg uint64, h Handler) {
+	k.pq.push(at, seq, arg, h)
+	if len(k.pq) > k.pqHigh {
+		k.pqHigh = len(k.pq)
+	}
 }
 
 // AtHFront schedules h.Handle(arg) at the absolute instant t ahead of
@@ -221,11 +376,14 @@ func (k *Kernel) AtHFront(t Time, h Handler, arg uint64) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
+	if h == nil {
+		panic("sim: scheduling a nil handler")
+	}
 	k.frontSeq++
 	if k.frontSeq >= normalBand {
 		panic("sim: front-band seq exhausted")
 	}
-	k.pq.push(t, k.frontSeq, arg, h)
+	k.push(t, k.frontSeq, arg, h)
 }
 
 // AfterH schedules h.Handle(arg) d after the current instant.
@@ -244,11 +402,12 @@ func (k *Kernel) PostH(h Handler, arg uint64) { k.AtH(k.now, h, arg) }
 // event completes. Pending events remain queued.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// step dispatches the earliest event across the heap and the immediate
-// ring. It reports false when no dispatchable events remain. seq values are
-// globally unique, so the (at, seq) order is total and the merge never ties;
-// ring entries all sit at the current instant, so the heap top precedes the
-// ring head only when it shares that instant with a smaller seq.
+// step dispatches the earliest event across the heap (with the lanes it
+// stands for) and the immediate ring. It reports false when no
+// dispatchable events remain. seq values are globally unique, so the
+// (at, seq) order is total and the merge never ties; ring entries all sit
+// at the current instant, so the heap top precedes the ring head only when
+// it shares that instant with a smaller seq.
 func (k *Kernel) step(limit Time) bool {
 	if k.tw.count > 0 {
 		k.collectTimers(limit)
@@ -272,11 +431,38 @@ func (k *Kernel) step(limit Time) bool {
 	if len(k.pq) == 0 || k.pq[0].at > limit {
 		return false
 	}
+	if k.pq[0].h == nil {
+		k.stepLane()
+		return true
+	}
 	at, h, arg := k.pq.pop()
 	k.now = at
 	k.processed++
 	h.Handle(arg)
 	return true
+}
+
+// stepLane dispatches the head of the lane whose entry is the heap root.
+// A lane with events left re-keys its entry with its next head, which is
+// later than the one dispatched; an emptied lane leaves the heap.
+func (k *Kernel) stepLane() {
+	slot := k.pq[0].arg
+	ln := &k.lanes[slot]
+	e := &ln.buf[ln.head]
+	at, h, arg := e.at, e.h, e.arg
+	e.h = nil // release the handler for GC
+	ln.head = (ln.head + 1) & (len(ln.buf) - 1)
+	if ln.n--; ln.n > 0 {
+		nx := &ln.buf[ln.head]
+		k.pq.siftDown(nx.at, nx.seq, slot, nil)
+		k.laneExtra--
+	} else {
+		k.pq.pop()
+		k.lanesBusy--
+	}
+	k.now = at
+	k.processed++
+	h.Handle(arg)
 }
 
 // NextEventTime returns the timestamp of the earliest pending event,

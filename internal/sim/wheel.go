@@ -276,7 +276,7 @@ func (w *timerWheel) collectEarliest(k *Kernel, bound Time) {
 			w.count--
 			w.pendingHeap++
 			w.nextDirty = true
-			k.pq.push(c.at, c.seq, c.gen, c)
+			k.push(c.at, c.seq, c.gen, c)
 			c = nx
 		}
 	} else {
@@ -371,7 +371,7 @@ func (k *Kernel) ArmTimer(d Duration, h Handler, arg uint64) TimerID {
 		if at == k.now {
 			k.iq = append(k.iq, ringEvent{seq: c.seq, arg: c.gen, h: c})
 		} else {
-			k.pq.push(at, c.seq, c.gen, c)
+			k.push(at, c.seq, c.gen, c)
 		}
 	}
 	return TimerID{c: c, gen: c.gen}
