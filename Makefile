@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-test race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden trace-smoke metrics-smoke bench bench-gate cover-pool clean
+.PHONY: all build test examples bench-test race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden trace-smoke metrics-smoke bench bench-gate cover-pool clean
 
 # Benchmark artifact for this PR and the committed baseline it is gated
 # against (previous PR's numbers).
@@ -14,6 +14,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Run every example end to end, so an example that builds but fails at
+# runtime fails here.
+examples:
+	@for ex in examples/*/; do \
+		echo "== $$ex"; $(GO) run ./$$ex || exit 1; \
+	done
 
 # Run the benchmark harness's own tests. bench/ is a separate module, so
 # the root `go test ./...` does not reach them.

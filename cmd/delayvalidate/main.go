@@ -35,6 +35,19 @@ func parsePeriods(s string) ([]int64, error) {
 	return out, nil
 }
 
+// buildOptions maps -elements onto the default options: zero keeps the
+// default, and a negative count is an error rather than a silent fallback.
+func buildOptions(elements int) (core.Options, error) {
+	opts := core.Default()
+	if elements < 0 {
+		return opts, fmt.Errorf("-elements must be >= 0 (0 = default), got %d", elements)
+	}
+	if elements > 0 {
+		opts.StreamElements = elements
+	}
+	return opts, opts.Validate()
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("delayvalidate: ")
@@ -48,9 +61,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := core.Default()
-	if *elements > 0 {
-		opts.StreamElements = *elements
+	opts, err := buildOptions(*elements)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	v := opts.RunDelayValidation(periods)

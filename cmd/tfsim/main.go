@@ -35,10 +35,13 @@ import (
 
 // buildOptions maps the seed and count flags onto the default options. A
 // zero count keeps the default; a negative one is an error rather than a
-// silent fallback to the default.
-func buildOptions(seed uint64, elements, scale, requests int) (core.Options, error) {
+// silent fallback to the default. The trace sampling stride must be >= 1.
+func buildOptions(seed uint64, elements, scale, requests, traceSample int) (core.Options, error) {
 	opts := core.Default()
 	opts.Seed = seed
+	if traceSample < 1 {
+		return opts, fmt.Errorf("-trace-sample must be >= 1, got %d", traceSample)
+	}
 	for _, c := range []struct {
 		name string
 		v    int
@@ -77,7 +80,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts, err := buildOptions(*seed, *elements, *scale, *requests)
+	opts, err := buildOptions(*seed, *elements, *scale, *requests, *traceSamp)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"log"
 
-	"thymesim/internal/control"
+	"thymesim/internal/cluster"
 	"thymesim/internal/core"
 )
 
@@ -38,32 +38,24 @@ func main() {
 		"graph500 BFS (JCT)", graphLocal.BFSTime, graphRemote.BFSTime, graphPenalty)
 
 	// Classify by measured sensitivity, as a QoS-aware control plane
-	// would.
-	classify := func(penalty float64) control.QoSClass {
-		if penalty > 2 {
-			return control.ClassLatencySensitive
-		}
-		return control.ClassLatencyTolerant
-	}
-	redisClass := classify(redisPenalty)
-	graphClass := classify(graphPenalty)
-	fmt.Printf("\nQoS classification: redis=%v, graph500=%v\n", redisClass, graphClass)
+	// would: a job slowed more than 2x by the delay is latency-sensitive.
+	redisSensitive := redisPenalty > 2
+	graphSensitive := graphPenalty > 2
+	fmt.Printf("\nQoS classification: redis sensitive=%v, graph500 sensitive=%v\n", redisSensitive, graphSensitive)
 
-	// Drive placement through the control plane: the sensitive workload
-	// gets local memory (no reservation); the tolerant one borrows.
-	plane := control.NewPlane()
-	plane.AddNode(0, 512<<30) // app node
-	plane.AddNode(1, 512<<30) // potential lender
-	if graphClass == control.ClassLatencySensitive {
+	// Place accordingly: the sensitive workload keeps local memory (no
+	// region); the tolerant one borrows a region from the pool's lender.
+	if graphSensitive {
 		fmt.Println("placement: graph500 -> local memory (QoS: protect the sensitive job)")
 	}
-	if redisClass == control.ClassLatencyTolerant {
-		r, err := plane.Reserve(0, 64<<30, redisClass, control.FirstFit{})
+	if !redisSensitive {
+		p := cluster.NewPool(cluster.DefaultPoolConfig(1, 1, period))
+		r, err := p.Attach(0, 64<<30)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("placement: redis -> %d GiB disaggregated from node %d (penalty only %.2fx)\n",
-			r.Size>>30, r.Lender, redisPenalty)
+			r.Size>>30, p.Lenders[r.Lender].ID, redisPenalty)
 	}
 
 	naive := float64(graphRemote.BFSTime)

@@ -1,6 +1,6 @@
 // Trace replay: close the loop between the beyond-rack fabric and the
 // paper's injector. Phase 1 runs real incast congestion on a switched
-// 4-node deployment and captures the per-fill remote-memory latencies.
+// 3×1 pool and captures the per-fill remote-memory latencies.
 // Phase 2 converts them into inter-release gaps and replays them on the
 // point-to-point testbed through inject.TraceGate — emulating the measured
 // datacenter conditions exactly the way the paper's framework injects
@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"thymesim/internal/cluster"
-	"thymesim/internal/fabric"
 	"thymesim/internal/inject"
 	"thymesim/internal/memport"
 	"thymesim/internal/ocapi"
@@ -22,30 +21,30 @@ import (
 
 // captureCongestion returns one borrower's fill-completion gaps (the rate
 // at which the congested fabric actually delivered its lines) and the mean
-// fill latency, while three borrowers incast on a single lender.
+// fill latency, while the three borrowers of a 3×1 pool incast on its
+// single lender.
 func captureCongestion() (gaps []sim.Duration, meanLat sim.Duration) {
-	d := fabric.NewDatacenter(fabric.DefaultDCConfig(4))
-	const lender = 3
+	p := cluster.NewPool(cluster.DefaultPoolConfig(3, 1, 1))
 	var latSum sim.Duration
 	var fills int
 	var lastFill sim.Time
 	started := false
 	type flow struct {
-		h    *memport.Hierarchy
-		base uint64
+		h *memport.Hierarchy
+		r cluster.Region
 	}
 	var flows []flow
-	for b := 0; b < 3; b++ {
-		base, err := d.Borrow(b, lender, 1<<30)
+	for b := range p.Borrowers {
+		r, err := p.Attach(b, 1<<30)
 		if err != nil {
 			log.Fatal(err)
 		}
-		h := d.NewHierarchy(b, lender)
+		h := p.Borrowers[b].NewRemoteHierarchy()
 		if b == 0 {
 			h.OnFill(func(lat sim.Duration) {
 				latSum += lat
 				fills++
-				now := d.K.Now()
+				now := p.K.Now()
 				if started {
 					gaps = append(gaps, now.Sub(lastFill))
 				}
@@ -53,17 +52,17 @@ func captureCongestion() (gaps []sim.Duration, meanLat sim.Duration) {
 				lastFill = now
 			})
 		}
-		flows = append(flows, flow{h, base})
+		flows = append(flows, flow{h, r})
 	}
 	const lines = 2500
-	d.K.At(0, func() {
+	p.K.At(0, func() {
 		for _, f := range flows {
 			for i := 0; i < lines; i++ {
-				f.h.Access(f.base+uint64(i)*ocapi.CacheLineSize, 8, false, nil)
+				f.h.Access(f.r.Addr(uint64(i)*ocapi.CacheLineSize), 8, false, nil)
 			}
 		}
 	})
-	d.K.Run()
+	p.Run()
 	return gaps, latSum / sim.Duration(fills)
 }
 

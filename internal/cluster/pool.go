@@ -41,13 +41,6 @@ type PoolConfig struct {
 	// RackSize groups consecutive fabric node ids into racks for the
 	// locality policy's distance metric (0 = everything in one rack).
 	RackSize int
-	// Switch overrides the derived fabric configuration (ignored by the
-	// 1×1 pool, which has no switch).
-	Switch *fabric.SwitchConfig
-	// GateFor overrides the per-borrower injection gate; nil derives a
-	// fresh PeriodGate per borrower (or uses Base.Gate for the 1×1 pool,
-	// preserving the two-node testbed's behaviour).
-	GateFor func(borrower int) axis.Gate
 	// Shards selects intra-run parallelism: 0 or 1 runs the whole pool on
 	// one kernel (the legacy path); >= 2 partitions the rack across that
 	// many event kernels — the switch on shard 0, nodes round-robin over
@@ -87,14 +80,6 @@ func (c PoolConfig) Validate() error {
 	}
 	if c.LenderCapacity%ocapi.CacheLineSize != 0 {
 		return fmt.Errorf("cluster: LenderCapacity %d not line-aligned", c.LenderCapacity)
-	}
-	if c.Switch != nil {
-		if err := c.Switch.Validate(); err != nil {
-			return err
-		}
-		if got, want := c.Switch.Ports, c.Borrowers+c.Lenders; got < want {
-			return fmt.Errorf("cluster: switch has %d ports for %d nodes", got, want)
-		}
 	}
 	return c.Base.Validate()
 }
@@ -226,14 +211,13 @@ func NewPool(cfg PoolConfig) *Pool {
 		p.K = sim.NewKernel()
 	}
 
-	gateFor := cfg.GateFor
-	if gateFor == nil {
-		gateFor = func(int) axis.Gate {
-			if pair && base.Gate != nil {
-				return base.Gate
-			}
-			return inject.NewPeriodGate(base.Period, base.FPGACycle)
+	// Each borrower gets a fresh PeriodGate; the 1×1 pool honours
+	// Base.Gate, preserving the two-node testbed's behaviour.
+	gateFor := func(int) axis.Gate {
+		if pair && base.Gate != nil {
+			return base.Gate
 		}
+		return inject.NewPeriodGate(base.Period, base.FPGACycle)
 	}
 
 	nicCfg := func(id, queueScale int) tfnic.Config {
@@ -267,23 +251,16 @@ func NewPool(cfg PoolConfig) *Pool {
 		return p
 	}
 
-	swCfg := fabric.SwitchConfig{
-		Ports:            nodes,
-		LinkBandwidthBps: base.LinkBandwidthBps,
-		LinkPropagation:  base.LinkPropagation,
-		SwitchLatency:    300 * sim.Nanosecond,
-		OutputQueue:      256,
-		// The cut-sizing contract: each input queue absorbs the deepest
-		// possible in-flight population (every borrower's full tag space
-		// converging on one lender port, plus control-plane slack), so a
-		// node-to-switch cable never backpressures. This holds in BOTH
-		// modes — it is what makes sharded runs byte-identical to legacy
-		// ones, since cross-shard credit flow control then never engages.
-		InputQueue: 2*base.TagSpace*cfg.Borrowers + 64,
-	}
-	if cfg.Switch != nil {
-		swCfg = *cfg.Switch
-	}
+	swCfg := fabric.DefaultSwitchConfig(nodes)
+	swCfg.LinkBandwidthBps = base.LinkBandwidthBps
+	swCfg.LinkPropagation = base.LinkPropagation
+	// The cut-sizing contract: each input queue absorbs the deepest
+	// possible in-flight population (every borrower's full tag space
+	// converging on one lender port, plus control-plane slack), so a
+	// node-to-switch cable never backpressures. This holds in BOTH
+	// modes — it is what makes sharded runs byte-identical to legacy
+	// ones, since cross-shard credit flow control then never engages.
+	swCfg.InputQueue = 2*base.TagSpace*cfg.Borrowers + 64
 
 	// Shard layout and plumbing. The switch owns shard 0; nodes go
 	// round-robin over the remaining shards; every cable's streams are

@@ -117,6 +117,10 @@ func TestPoolRegionLifecycle(t *testing.T) {
 	if _, err := p.Grow(grown, p.Config().lenderCapacity()+1<<20); err == nil {
 		t.Fatal("grow beyond the lender reservation accepted")
 	}
+	// So does an attach no lender's reservation can hold.
+	if _, err := p.Attach(0, p.Config().lenderCapacity()+ocapi.CacheLineSize); err == nil {
+		t.Fatal("attach beyond the lender reservation accepted")
+	}
 	// Stale handles are rejected: the pre-grow region no longer exists.
 	if err := p.Detach(r); err == nil {
 		t.Fatal("detach of stale (pre-grow) region accepted")
@@ -235,6 +239,58 @@ func TestPoolManyBorrowers(t *testing.T) {
 	}
 	if p.Switch.Dropped() != 0 {
 		t.Fatalf("switch dropped %d beats", p.Switch.Dropped())
+	}
+}
+
+// TestPoolSwitchContention pins the fabric's two contention shapes by the
+// per-borrower bandwidth ratio of two streaming borrowers to one. Incast
+// (both borrowers on one lender) shares the lender's switch port, so each
+// borrower gets about half; disjoint borrower/lender pairs share no port
+// through the output-queued switch, so neither slows the other.
+func TestPoolSwitchContention(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		lenders int
+		lines   int
+		lo, hi  float64
+	}{
+		{name: "incast", lenders: 1, lines: 1500, lo: 0.35, hi: 0.7},
+		{name: "disjoint-pairs", lenders: 2, lines: 800, lo: 1 / 1.2, hi: 1.2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// bandwidth streams tc.lines reads from each of the first
+			// `active` borrowers of a 2×lenders pool and returns the
+			// per-borrower bandwidth in bytes per simulated second.
+			bandwidth := func(active int) float64 {
+				p := NewPool(poolConfig(2, tc.lenders))
+				done := 0
+				for b := 0; b < active; b++ {
+					r, err := p.Attach(b, 1<<20)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := b % tc.lenders; r.Lender != want {
+						t.Fatalf("borrower %d placed on lender %d, want %d", b, r.Lender, want)
+					}
+					h := p.Borrowers[b].NewRemoteHierarchy()
+					p.K.At(0, func() {
+						for i := 0; i < tc.lines; i++ {
+							h.Access(r.Addr(uint64(i)*ocapi.CacheLineSize), 8, false, func() { done++ })
+						}
+					})
+				}
+				end := p.Run()
+				if done != active*tc.lines {
+					t.Fatalf("completed %d of %d reads", done, active*tc.lines)
+				}
+				return float64(tc.lines*ocapi.CacheLineSize) / sim.Time(end).Seconds()
+			}
+			ratio := bandwidth(2) / bandwidth(1)
+			t.Logf("bandwidth ratio %.3f", ratio)
+			if ratio < tc.lo || ratio > tc.hi {
+				t.Fatalf("two-borrower/one-borrower bandwidth ratio = %.3f, want [%.3f, %.3f]", ratio, tc.lo, tc.hi)
+			}
+		})
 	}
 }
 

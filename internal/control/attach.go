@@ -1,3 +1,9 @@
+// Package control models the disaggregation control plane of §II-A that
+// sits beside the datapath: the hot-plug attach handshake
+// (libthymesisflow's job in the prototype), the circuit breaker that fails
+// fills over to local memory when the remote path turns unhealthy, and the
+// supervisor that detects a dead link and re-attaches. Lender placement
+// and region carving live in cluster.Pool and its pool.Policy.
 package control
 
 import (

@@ -6,6 +6,7 @@
 // dwell it admits a few trial transactions (Half-Open); sustained success
 // re-promotes the remote path (-> Closed), failure re-opens with a longer
 // dwell — hysteresis against flapping on a marginal lender.
+
 package control
 
 import (

@@ -3,6 +3,7 @@
 // The Supervisor closes that loop — heartbeat probes detect the failure,
 // a backoff-paced re-attach restores the window when the link returns, and
 // a link that never returns is declared dead instead of retried forever.
+
 package control
 
 import (

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"thymesim/internal/memport"
 	"thymesim/internal/sim"
@@ -179,6 +180,9 @@ func (r *Reader) Next() (Event, error) {
 		size, err := binary.ReadUvarint(r.r)
 		if err != nil {
 			return Event{}, ErrTruncated
+		}
+		if size == 0 || size > math.MaxInt32 {
+			return Event{}, fmt.Errorf("%w: access size %d", ErrCorrupt, size)
 		}
 		return Event{Op: memport.Op{Addr: addr, Size: int32(size), Write: kind == kindWrite}}, nil
 	default:
