@@ -75,10 +75,8 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -gate < bench.out > /dev/null
 	@rm -f bench.out
 
-# Race-check the pool-heavy packages: pooled transactions, free-listed
-# continuations, and the sharded event runtime (cross-shard inbox rings,
-# spin barrier) must stay data-race-free under concurrent sweep workers
-# and goroutine-per-shard rounds.
+# Race-check the pool-heavy packages: pooled transactions and free-listed
+# continuations must stay data-race-free under concurrent sweep workers.
 race-pools:
 	$(GO) test -race ./internal/sim ./internal/cluster ./internal/pool \
 		./internal/fabric ./internal/tfnic ./internal/ocapi \

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	chaos [-seed n] [-j n] [-shards n] [-ber p] [-drop p] [-flap-up us]
+//	chaos [-seed n] [-j n] [-ber p] [-drop p] [-flap-up us]
 //	      [-flap-down us] [-workloads stream,kvstore,graph500] [-failover]
 //	      [-pool] [-serve addr] [-cpuprofile file] [-memprofile file]
 //	      [-mutexprofile file] [-blockprofile file]
@@ -48,7 +48,6 @@ func main() {
 		flapDown   = flag.Float64("flap-down", def.FlapMeanDown.Micros(), "mean link down-phase (us, 0 disables flapping)")
 		workloads  = flag.String("workloads", strings.Join(core.ChaosWorkloads, ","), "comma-separated workloads")
 		jobs       = flag.Int("j", 0, "concurrent chaos trials (0 = one per CPU); results are identical at any -j")
-		shards     = flag.Int("shards", 0, "event-kernel shards per pool run (0/1 = single kernel); results are identical at any -shards")
 		failover   = flag.Bool("failover", false, "also run the dead-link degraded-failover scenario")
 		schedule   = flag.Bool("schedule", false, "also run the scheduled lender-fault campaign (crash/wipe/burst/brownout) with the deadline+breaker stack")
 		poolChaos  = flag.Bool("pool", false, "also run the pool chaos campaign (N×M region churn + lender crash/restore)")
@@ -56,14 +55,13 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the chaos trials to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile (taken after the trials) to this file")
 		mtxProfile = flag.String("mutexprofile", "", "write a mutex-contention profile of the trials to this file")
-		blkProfile = flag.String("blockprofile", "", "write a goroutine-blocking profile (barrier stalls under -shards) to this file")
+		blkProfile = flag.String("blockprofile", "", "write a goroutine-blocking profile to this file")
 	)
 	flag.Parse()
 
 	opts := core.Default()
 	opts.Seed = *seed
 	opts.Workers = *jobs
-	opts.Shards = *shards
 	if err := opts.Validate(); err != nil {
 		log.Fatal(err)
 	}

@@ -67,13 +67,12 @@ func main() {
 		experiment = flag.String("experiment", "all", "which experiment to run")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
 		jobs       = flag.Int("j", 0, "concurrent sweep points (0 = one per CPU); results are identical at any -j")
-		shards     = flag.Int("shards", 0, "event-kernel shards per pool run (0/1 = single kernel); results are identical at any -shards")
 		trace      = flag.String("trace", "", "Chrome trace-event JSON of the breakdown run's spans")
 		traceSamp  = flag.Int("trace-sample", 1, "trace every Nth line fill in the breakdown sweep")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile (taken after the runs) to this file")
 		mtxProfile = flag.String("mutexprofile", "", "write a mutex-contention profile of the runs to this file")
-		blkProfile = flag.String("blockprofile", "", "write a goroutine-blocking profile (barrier stalls under -shards) to this file")
+		blkProfile = flag.String("blockprofile", "", "write a goroutine-blocking profile to this file")
 		serveAddr  = flag.String("serve", "", "serve the live run monitor (/metrics, /healthz, /status) on this address while experiments run")
 		metricsOut = flag.String("metrics-out", "", "write the final metrics snapshot in Prometheus text format to this file (needs -serve)")
 	)
@@ -88,7 +87,6 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Workers = *jobs
-	opts.Shards = *shards
 	if err := opts.Validate(); err != nil {
 		log.Fatal(err)
 	}

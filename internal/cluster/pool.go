@@ -41,16 +41,10 @@ type PoolConfig struct {
 	// RackSize groups consecutive fabric node ids into racks for the
 	// locality policy's distance metric (0 = everything in one rack).
 	RackSize int
-	// Shards selects intra-run parallelism: 0 or 1 runs the whole pool on
-	// one kernel (the legacy path); >= 2 partitions the rack across that
-	// many event kernels — the switch on shard 0, nodes round-robin over
-	// the rest (capped at one shard per node plus the switch) — and the
-	// node-to-switch cable propagation becomes the conservative lookahead
-	// window. Results are byte-identical at any value: the cut FIFOs (the
-	// switch input queues and NIC response queues) are sized past the
-	// worst-case outstanding-tag population so cross-shard credit flow
-	// control never engages, and cross-shard deliveries merge in wiring
-	// order. The 1×1 pool has no fabric to cut and always runs legacy.
+	// Shards is ignored at every value: the pool always runs on one event
+	// kernel. It remains only because the benchmark module still sets it;
+	// a later benchmark change deletes it together with the
+	// sim.shard_wall_ratio metric.
 	Shards int
 }
 
@@ -71,12 +65,6 @@ func (c PoolConfig) Validate() error {
 	}
 	if c.RackSize < 0 {
 		return fmt.Errorf("cluster: RackSize = %d", c.RackSize)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("cluster: Shards = %d", c.Shards)
-	}
-	if c.Shards >= 2 && c.Base.LinkPropagation <= 0 {
-		return fmt.Errorf("cluster: sharding requires positive link propagation (it is the lookahead)")
 	}
 	if c.LenderCapacity%ocapi.CacheLineSize != 0 {
 		return fmt.Errorf("cluster: LenderCapacity %d not line-aligned", c.LenderCapacity)
@@ -118,8 +106,7 @@ func (r Region) Addr(offset uint64) uint64 {
 // (probe waiters, tag ranges, attached regions).
 type BorrowerNode struct {
 	p *Pool
-	// ID is the fabric node id (== switch port); K the kernel the node's
-	// components live on (the pool kernel, or the node's shard).
+	// ID is the fabric node id (== switch port); K the pool's kernel.
 	ID  int
 	K   *sim.Kernel
 	NIC *tfnic.NIC
@@ -147,7 +134,7 @@ type BorrowerNode struct {
 // and the allocator carving its reservation.
 type LenderNode struct {
 	// ID is the fabric node id; Index is the pool-local lender index; K
-	// the kernel the node's components live on.
+	// the pool's kernel.
 	ID    int
 	Index int
 	K     *sim.Kernel
@@ -159,8 +146,7 @@ type LenderNode struct {
 // Pool is the composed N-borrower × M-lender system: the node-graph
 // generalization of the two-node Testbed.
 type Pool struct {
-	// K is the single event kernel (nil when the pool is sharded — use
-	// NodeKernel / Run / StepTo instead, which work in both modes).
+	// K is the event kernel every node's components run on.
 	K   *sim.Kernel
 	cfg PoolConfig
 
@@ -172,15 +158,8 @@ type Pool struct {
 	Switch *fabric.Switch
 	Link   *netlink.Link
 	// links holds each node's cable to the switch, indexed by port
-	// (empty for the 1×1 pool); xlinks the same when the pool is sharded
-	// and cables cross shard boundaries.
-	links  []*netlink.Link
-	xlinks []*netlink.CrossLink
-
-	// sk coordinates the shard kernels (nil on the legacy path);
-	// shardOf maps fabric node id to its shard.
-	sk      *sim.ShardedKernel
-	shardOf []int
+	// (empty for the 1×1 pool).
+	links []*netlink.Link
 
 	policy    pool.Policy
 	regionsOn []int // live regions per lender, for placement views
@@ -198,18 +177,14 @@ func NewPool(cfg PoolConfig) *Pool {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := &Pool{cfg: cfg, regionsOn: make([]int, cfg.Lenders)}
+	p := &Pool{K: sim.NewKernel(), cfg: cfg, regionsOn: make([]int, cfg.Lenders)}
 	p.policy = cfg.Placement
 	if p.policy == nil {
 		p.policy = pool.DefaultPair{}
 	}
 	base := cfg.Base
 	pair := cfg.Borrowers == 1 && cfg.Lenders == 1
-	nodes := cfg.Borrowers + cfg.Lenders
-	sharded := cfg.Shards >= 2 && !pair
-	if !sharded {
-		p.K = sim.NewKernel()
-	}
+	k := p.K
 
 	// Each borrower gets a fresh PeriodGate; the 1×1 pool honours
 	// Base.Gate, preserving the two-node testbed's behaviour.
@@ -234,7 +209,6 @@ func NewPool(cfg PoolConfig) *Pool {
 	if pair {
 		// The two-node testbed, constructor for constructor: borrower
 		// memory, lender memory, both NICs, the point-to-point link.
-		k := p.K
 		b := &BorrowerNode{p: p, ID: BorrowerID, K: k, gate: gateFor(0)}
 		b.Mem = dram.New(k, base.BorrowerDRAM)
 		lMem := dram.New(k, base.LenderDRAM)
@@ -251,84 +225,36 @@ func NewPool(cfg PoolConfig) *Pool {
 		return p
 	}
 
-	swCfg := fabric.DefaultSwitchConfig(nodes)
+	swCfg := fabric.DefaultSwitchConfig(cfg.Borrowers + cfg.Lenders)
 	swCfg.LinkBandwidthBps = base.LinkBandwidthBps
 	swCfg.LinkPropagation = base.LinkPropagation
-	// The cut-sizing contract: each input queue absorbs the deepest
-	// possible in-flight population (every borrower's full tag space
-	// converging on one lender port, plus control-plane slack), so a
-	// node-to-switch cable never backpressures. This holds in BOTH
-	// modes — it is what makes sharded runs byte-identical to legacy
-	// ones, since cross-shard credit flow control then never engages.
+	// Each input queue absorbs the deepest possible in-flight population
+	// (every borrower's full tag space converging on one lender port, plus
+	// control-plane slack), so a node-to-switch cable never backpressures
+	// and contention shows up only at the output queues. The depth sets
+	// results: the committed pool CSVs were produced with it.
 	swCfg.InputQueue = 2*base.TagSpace*cfg.Borrowers + 64
-
-	// Shard layout and plumbing. The switch owns shard 0; nodes go
-	// round-robin over the remaining shards; every cable's streams are
-	// created in node-id order so cross-shard merge keys — and therefore
-	// results — do not depend on the shard count.
-	var shardFor func(node int) *sim.Kernel
-	var streamsFor func(node int) (toSwitch, toNode *sim.Stream)
-	var swK *sim.Kernel
-	if sharded {
-		eff := cfg.Shards
-		if eff > nodes+1 {
-			eff = nodes + 1
-		}
-		p.sk = sim.NewShardedKernel(eff)
-		p.shardOf = make([]int, nodes)
-		swK = p.sk.Shard(0)
-		shardPop := make([]int, eff)
-		for n := 0; n < nodes; n++ {
-			s := 1 + n%(eff-1)
-			p.shardOf[n] = s
-			shardPop[s]++
-			p.sk.Connect(s, 0, swCfg.LinkPropagation)
-			p.sk.Connect(0, s, swCfg.LinkPropagation)
-		}
-		shardFor = func(node int) *sim.Kernel { return p.sk.Shard(p.shardOf[node]) }
-		streamsFor = func(node int) (*sim.Stream, *sim.Stream) {
-			// Every node on a shard shares the pair's inbox ring with the
-			// switch shard, so size it for the whole shard's worst-case
-			// in-flight window: one outstanding tag window each way per
-			// node plus barrier-round slack.
-			s := p.shardOf[node]
-			hint := (2*base.TagSpace + 64) * shardPop[s]
-			return p.sk.NewStreamCap(s, 0, hint), p.sk.NewStreamCap(0, s, hint)
-		}
-	} else {
-		swK = p.K
-		shardFor = func(int) *sim.Kernel { return p.K }
+	p.Switch = fabric.NewSwitch(k, swCfg)
+	attach := func(id int, nic *tfnic.NIC) {
+		p.links = append(p.links, p.Switch.AttachNIC(id, fabric.NICPorts{TxQ: nic.TxQ, RxQ: nic.RxQ}))
 	}
-
-	attach := func(id int, nk *sim.Kernel, nic *tfnic.NIC) {
-		ports := fabric.NICPorts{TxQ: nic.TxQ, RxQ: nic.RxQ}
-		if sharded {
-			ab, ba := streamsFor(id)
-			p.xlinks = append(p.xlinks, p.Switch.AttachRemoteNIC(id, ports, nk, ab, ba))
-			return
-		}
-		p.links = append(p.links, p.Switch.AttachNIC(id, ports))
-	}
-
-	p.Switch = fabric.NewSwitch(swK, swCfg)
 	for i := 0; i < cfg.Borrowers; i++ {
-		nk := shardFor(i)
-		b := &BorrowerNode{p: p, ID: i, K: nk, gate: gateFor(i)}
-		b.Mem = dram.New(nk, base.BorrowerDRAM)
-		b.NIC = tfnic.New(nk, nicCfg(i, 1), b.gate, nil)
-		attach(i, nk, b.NIC)
+		b := &BorrowerNode{p: p, ID: i, K: k, gate: gateFor(i)}
+		b.Mem = dram.New(k, base.BorrowerDRAM)
+		b.NIC = tfnic.New(k, nicCfg(i, 1), b.gate, nil)
+		attach(i, b.NIC)
 		b.finishWiring()
 		p.Borrowers = append(p.Borrowers, b)
 	}
 	for l := 0; l < cfg.Lenders; l++ {
 		id := cfg.Borrowers + l
-		nk := shardFor(id)
-		mem := dram.New(nk, base.LenderDRAM)
+		mem := dram.New(k, base.LenderDRAM)
 		// The lender's response queue must absorb every borrower's
-		// outstanding tags at once, so depth scales with borrower count.
-		nic := tfnic.New(nk, nicCfg(id, cfg.Borrowers), nil, mem)
-		attach(id, nk, nic)
-		p.Lenders = append(p.Lenders, p.newLender(id, l, nk, nic, mem))
+		// outstanding tags at once, so depth scales with borrower count;
+		// like the switch input depth, it sets results.
+		nic := tfnic.New(k, nicCfg(id, cfg.Borrowers), nil, mem)
+		attach(id, nic)
+		p.Lenders = append(p.Lenders, p.newLender(id, l, k, nic, mem))
 	}
 	p.EnableMetrics(base.Metrics)
 	return p
@@ -365,67 +291,25 @@ func (b *BorrowerNode) finishWiring() {
 // Config returns the pool configuration.
 func (p *Pool) Config() PoolConfig { return p.cfg }
 
-// Kernel returns the simulation kernel (nil when sharded).
+// Kernel returns the simulation kernel.
 func (p *Pool) Kernel() *sim.Kernel { return p.K }
 
-// Sharded reports whether the pool runs on partitioned kernels.
-func (p *Pool) Sharded() bool { return p.sk != nil }
+// Run dispatches events until the kernel drains and returns the final
+// simulated time.
+func (p *Pool) Run() sim.Time { return p.K.Run() }
 
-// ShardedKernel returns the shard coordinator (nil on the legacy path).
-func (p *Pool) ShardedKernel() *sim.ShardedKernel { return p.sk }
+// StepTo dispatches every event before t and sets the clock to t; events
+// at exactly t fire on the next Run or StepTo. Between StepTo calls the
+// caller may touch any node's components: the experiment drivers run
+// their control-plane phases (Attach/Detach/Grow, fault injection, probes)
+// at these boundaries.
+func (p *Pool) StepTo(t sim.Time) { p.K.StepTo(t) }
 
-// NodeKernel returns the kernel that owns fabric node id — the node's
-// shard, or the pool kernel on the legacy path. Schedule a node's traffic
-// and timers here; in sharded mode touching another node's components
-// from this kernel's events is a data race.
-func (p *Pool) NodeKernel(node int) *sim.Kernel {
-	if p.sk != nil {
-		return p.sk.Shard(p.shardOf[node])
-	}
-	return p.K
-}
+// Now returns the current simulated time.
+func (p *Pool) Now() sim.Time { return p.K.Now() }
 
-// Run dispatches events until every kernel drains, in whichever mode the
-// pool was built, and returns the final simulated time.
-func (p *Pool) Run() sim.Time {
-	if p.sk != nil {
-		return p.sk.Run()
-	}
-	return p.K.Run()
-}
-
-// StepTo dispatches every event strictly before t and advances all clocks
-// to exactly t. Between StepTo calls the caller runs single-threaded and
-// may touch any node's components — the barrier the experiment drivers
-// use for control-plane phases (Attach/Detach/Grow, fault injection,
-// probes) so the same driver code is deterministic in both modes.
-func (p *Pool) StepTo(t sim.Time) {
-	if p.sk != nil {
-		p.sk.StepTo(t)
-		return
-	}
-	p.K.RunBelow(t)
-	p.K.AdvanceTo(t)
-}
-
-// Now returns the current simulated time: the single kernel's clock, or —
-// when sharded — the driver-side clock of the last completed Run/StepTo.
-// There is no global instant while shards advance in parallel, so code
-// running inside an event must read its own node kernel's clock instead.
-func (p *Pool) Now() sim.Time {
-	if p.sk != nil {
-		return p.sk.Now()
-	}
-	return p.K.Now()
-}
-
-// Processed returns total events dispatched across all kernels.
-func (p *Pool) Processed() uint64 {
-	if p.sk != nil {
-		return p.sk.Processed()
-	}
-	return p.K.Processed()
-}
+// Processed returns the number of events dispatched so far.
+func (p *Pool) Processed() uint64 { return p.K.Processed() }
 
 // rackDistance is the locality metric: 0 within a rack, 1 across racks.
 func (p *Pool) rackDistance(a, b int) int {
@@ -569,11 +453,6 @@ func (p *Pool) EnableTracing(cfg obs.Config) *obs.Tracer {
 	if p.tracer != nil {
 		panic("cluster: tracing already enabled")
 	}
-	if p.sk != nil {
-		// The tracer's span pool and clock belong to one kernel; taps
-		// firing concurrently from shard goroutines would race on it.
-		panic("cluster: tracing is single-kernel only; run with Shards <= 1")
-	}
 	p.tracer = obs.New(p.K, cfg)
 	for _, b := range p.Borrowers {
 		b.NIC.SetTracer(p.tracer)
@@ -628,12 +507,6 @@ func (p *Pool) EnableMetrics(pl *metricsplane.Plane) {
 	}
 	for port, ln := range p.links {
 		// Node-to-switch cables: link 0 = toward the switch, 1 = from it.
-		ln.AtoB.SetMetrics(pl.LinkMetricsFor(port, 0))
-		ln.BtoA.SetMetrics(pl.LinkMetricsFor(port, 1))
-	}
-	for port, ln := range p.xlinks {
-		// Same cables when the pool is sharded; the plane's instruments
-		// are lock-free atomics, so cross-shard updates are safe.
 		ln.AtoB.SetMetrics(pl.LinkMetricsFor(port, 0))
 		ln.BtoA.SetMetrics(pl.LinkMetricsFor(port, 1))
 	}

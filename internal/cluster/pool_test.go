@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"thymesim/internal/obs"
@@ -544,5 +545,66 @@ func TestPoolConfigValidate(t *testing.T) {
 	bad.LenderCapacity = 100
 	if err := bad.Validate(); err == nil {
 		t.Error("unaligned lender capacity accepted")
+	}
+}
+
+// fillTrace drives a remote-fill workload through the switched pool in
+// StepTo phases and returns each borrower's completion instants.
+func fillTrace(t *testing.T, cfg PoolConfig, accesses int) [][]sim.Time {
+	t.Helper()
+	p := NewPool(cfg)
+	p.EnableTracing(obs.Config{})
+	traces := make([][]sim.Time, cfg.Borrowers)
+	for b := range traces {
+		r, err := p.Attach(b, 64<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bn := p.Borrowers[b]
+		h := bn.NewRemoteHierarchy()
+		b := b
+		bn.K.At(0, func() {
+			for i := 0; i < accesses; i++ {
+				off := uint64(i%512) * ocapi.CacheLineSize
+				h.Access(r.Addr(off), 8, i%3 == 0, func() {
+					traces[b] = append(traces[b], bn.K.Now())
+				})
+			}
+		})
+	}
+	for _, at := range []sim.Time{sim.Time(sim.Microsecond), sim.Time(5 * sim.Microsecond)} {
+		p.StepTo(at)
+		if p.Now() != at {
+			t.Fatalf("StepTo(%v) left the pool at %v", at, p.Now())
+		}
+	}
+	p.Run()
+	return traces
+}
+
+// TestPoolShardsIgnored pins PoolConfig.Shards as a no-op: any value,
+// negative included, builds the same single-kernel pool, which accepts
+// tracing and completes every fill at the same instants.
+func TestPoolShardsIgnored(t *testing.T) {
+	const accesses = 160
+	cfg := DefaultPoolConfig(3, 2, 1)
+	cfg.LenderCapacity = 1 << 20
+	want := fillTrace(t, cfg, accesses)
+	for b := range want {
+		if len(want[b]) != accesses {
+			t.Fatalf("borrower %d completed %d of %d", b, len(want[b]), accesses)
+		}
+	}
+	for _, shards := range []int{-1, 8} {
+		cfg.Shards = shards
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("Shards = %d rejected: %v", shards, err)
+		}
+		got := fillTrace(t, cfg, accesses)
+		for b := range want {
+			if fmt.Sprint(got[b]) != fmt.Sprint(want[b]) {
+				t.Fatalf("Shards = %d: borrower %d trace diverged\n got %v\nwant %v", shards, b, got[b], want[b])
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"thymesim/internal/cluster"
@@ -75,15 +74,12 @@ func BenchmarkBreakerRemoteFill(b *testing.B) {
 	}
 }
 
-// benchPoolChaos64 runs the rack-scale chaos campaign — 48 borrowers and
-// 16 lenders on one switch (a 64-node rack), region churn, lender
+// BenchmarkPoolChaos64 runs the rack-scale chaos campaign — 48 borrowers
+// and 16 lenders on one switch (a 64-node rack), region churn, lender
 // crash/restore, and audited traffic under the deadline+ARQ stack — once
-// per iteration. The legacy/sharded pair measures the sharded runtime's
-// speedup on one run (not sweep parallelism: this is a single simulation
-// spread over all cores).
-func benchPoolChaos64(b *testing.B, shards int) {
+// per iteration.
+func BenchmarkPoolChaos64(b *testing.B) {
 	o := benchOptions()
-	o.Shards = shards
 	cfg := PoolChaosConfig{Seed: 1, Borrowers: 48, Lenders: 16, Rounds: 6, TagSpace: 64}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -92,22 +88,6 @@ func benchPoolChaos64(b *testing.B, shards int) {
 			b.Fatal(r.Violations)
 		}
 	}
-}
-
-// BenchmarkPoolChaos64 is the rack-scale campaign on the legacy single
-// kernel: the baseline the sharded variant is compared against.
-func BenchmarkPoolChaos64(b *testing.B) { benchPoolChaos64(b, 0) }
-
-// BenchmarkPoolChaos64Sharded is the same campaign with the event kernel
-// sharded one-per-core; the ratio to the legacy variant is the sharded
-// runtime's speedup on this machine. At least 2 shards even on one core,
-// so the conservative-window protocol is always the thing measured.
-func BenchmarkPoolChaos64Sharded(b *testing.B) {
-	shards := runtime.GOMAXPROCS(0)
-	if shards < 2 {
-		shards = 2
-	}
-	benchPoolChaos64(b, shards)
 }
 
 // BenchmarkValidationSweepSerial is the Figs. 2-3 sweep with the pool

@@ -5,9 +5,8 @@
 //
 // The package is pure bookkeeping — it schedules nothing — so its
 // invariants (no segment overlap, capacity conservation, free-list
-// coalescing) are property-testable in isolation, and the same allocator
-// drives both the event-accurate cluster pool and the switched-fabric
-// datacenter model. The only observability hook is the optional
+// coalescing) are property-testable in isolation; cluster.Pool drives one
+// allocator per lender. The only observability hook is the optional
 // metricsplane gauge bundle, refreshed after each mutation.
 package pool
 
@@ -51,8 +50,8 @@ type Allocator struct {
 	capacity  uint64
 	align     uint64
 	free      []span
+	live      map[uint64]uint64 // size of each live segment, by base
 	allocated uint64
-	segments  int
 
 	mx *metricsplane.AllocMetrics // nil when the metrics plane is disabled
 }
@@ -76,6 +75,7 @@ func NewAllocator(lender int, base, capacity, align uint64) (*Allocator, error) 
 		capacity: capacity,
 		align:    align,
 		free:     []span{{base: base, size: capacity}},
+		live:     make(map[uint64]uint64),
 	}, nil
 }
 
@@ -115,7 +115,7 @@ func (a *Allocator) Allocated() uint64 { return a.allocated }
 func (a *Allocator) FreeBytes() uint64 { return a.capacity - a.allocated }
 
 // Segments returns the number of live segments.
-func (a *Allocator) Segments() int { return a.segments }
+func (a *Allocator) Segments() int { return len(a.live) }
 
 // FreeSpans returns a copy of the free list (sorted, coalesced) for
 // invariant checks and fragmentation diagnostics.
@@ -133,7 +133,11 @@ func (a *Allocator) Alloc(size uint64) (Segment, error) {
 	if size == 0 {
 		return Segment{}, fmt.Errorf("pool: zero-size alloc on lender %d", a.lender)
 	}
-	size = (size + a.align - 1) &^ (a.align - 1)
+	// A size past the reservation fits no span; leaving it unrounded keeps
+	// the rounding from wrapping.
+	if size <= a.capacity {
+		size = (size + a.align - 1) &^ (a.align - 1)
+	}
 	for i := range a.free {
 		f := &a.free[i]
 		if f.size < size {
@@ -145,8 +149,8 @@ func (a *Allocator) Alloc(size uint64) (Segment, error) {
 		if f.size == 0 {
 			a.free = append(a.free[:i], a.free[i+1:]...)
 		}
+		a.live[seg.Base] = size
 		a.allocated += size
-		a.segments++
 		a.refreshMetrics()
 		return seg, nil
 	}
@@ -155,22 +159,15 @@ func (a *Allocator) Alloc(size uint64) (Segment, error) {
 }
 
 // Free returns a segment to the free list, coalescing with neighbours.
-// Foreign, misaligned, out-of-range, and double-freed segments are
-// rejected — a control plane bug must surface, not corrupt the pool.
+// Anything but a live segment exactly as Alloc or Grow returned it — a
+// double free, another lender's segment, a part of a live segment — is
+// rejected: a control plane bug must surface, not corrupt the pool.
 func (a *Allocator) Free(seg Segment) error {
-	if err := a.checkOwned(seg); err != nil {
+	if err := a.checkLive(seg); err != nil {
 		return err
 	}
+	delete(a.live, seg.Base)
 	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].base >= seg.Base })
-	// Reject frees that intersect the free list (double free / bad size).
-	if i < len(a.free) && seg.End() > a.free[i].base {
-		return fmt.Errorf("pool: free of %#x+%#x overlaps free span %#x+%#x (double free?)",
-			seg.Base, seg.Size, a.free[i].base, a.free[i].size)
-	}
-	if i > 0 && a.free[i-1].base+a.free[i-1].size > seg.Base {
-		return fmt.Errorf("pool: free of %#x+%#x overlaps free span %#x+%#x (double free?)",
-			seg.Base, seg.Size, a.free[i-1].base, a.free[i-1].size)
-	}
 	// Coalesce with the predecessor and/or successor when adjacent.
 	joinPrev := i > 0 && a.free[i-1].base+a.free[i-1].size == seg.Base
 	joinNext := i < len(a.free) && seg.End() == a.free[i].base
@@ -189,22 +186,24 @@ func (a *Allocator) Free(seg Segment) error {
 		a.free[i] = span{base: seg.Base, size: seg.Size}
 	}
 	a.allocated -= seg.Size
-	a.segments--
 	a.refreshMetrics()
 	return nil
 }
 
-// Grow extends a segment in place to newSize (rounded up to the
+// Grow extends a live segment in place to newSize (rounded up to the
 // alignment), consuming the free span that immediately follows it. It
 // fails — leaving the segment untouched — when the adjacent space is
 // carved out or too small; relocation is the caller's policy decision.
 func (a *Allocator) Grow(seg Segment, newSize uint64) (Segment, error) {
-	if err := a.checkOwned(seg); err != nil {
+	if err := a.checkLive(seg); err != nil {
 		return Segment{}, err
 	}
-	newSize = (newSize + a.align - 1) &^ (a.align - 1)
 	if newSize <= seg.Size {
 		return Segment{}, fmt.Errorf("pool: grow of %#x+%#x to %d does not grow", seg.Base, seg.Size, newSize)
+	}
+	// As in Alloc: a size past the reservation fits no span.
+	if newSize <= a.capacity {
+		newSize = (newSize + a.align - 1) &^ (a.align - 1)
 	}
 	need := newSize - seg.Size
 	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].base >= seg.End() })
@@ -219,21 +218,20 @@ func (a *Allocator) Grow(seg Segment, newSize uint64) (Segment, error) {
 	}
 	a.allocated += need
 	seg.Size = newSize
+	a.live[seg.Base] = newSize
 	a.refreshMetrics()
 	return seg, nil
 }
 
-// checkOwned validates that seg plausibly came from this allocator.
-func (a *Allocator) checkOwned(seg Segment) error {
+// checkLive validates that seg is one of this allocator's live segments,
+// exactly as Alloc or Grow last returned it.
+func (a *Allocator) checkLive(seg Segment) error {
 	if seg.Lender != a.lender {
 		return fmt.Errorf("pool: segment of lender %d handed to lender %d", seg.Lender, a.lender)
 	}
-	if seg.Size == 0 || seg.Base%a.align != 0 || seg.Size%a.align != 0 {
-		return fmt.Errorf("pool: malformed segment %#x+%#x", seg.Base, seg.Size)
-	}
-	if seg.Base < a.base || seg.End() > a.base+a.capacity {
-		return fmt.Errorf("pool: segment %#x+%#x outside reservation %#x+%#x",
-			seg.Base, seg.Size, a.base, a.capacity)
+	if size, ok := a.live[seg.Base]; !ok || size != seg.Size {
+		return fmt.Errorf("pool: %#x+%#x is not a live segment of lender %d (double free?)",
+			seg.Base, seg.Size, a.lender)
 	}
 	return nil
 }

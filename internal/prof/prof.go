@@ -50,9 +50,9 @@ func WriteHeap(path string) error {
 
 // StartMutex enables mutex-contention profiling and returns a stop
 // function that writes the profile to path and disables sampling; an
-// empty path is a no-op. The sharded event kernels synchronize through
-// atomics and a spin barrier, so mutex samples point at the layers that
-// do lock — the metrics plane, the sweep pool, the monitor endpoint.
+// empty path is a no-op. The event kernel takes no locks, so mutex
+// samples point at the layers that do: the metrics plane, the sweep pool,
+// the monitor endpoint.
 func StartMutex(path string) (stop func() error, err error) {
 	if path == "" {
 		return func() error { return nil }, nil
@@ -74,9 +74,8 @@ func StartMutex(path string) (stop func() error, err error) {
 
 // StartBlock enables goroutine blocking profiling (every blocking event)
 // and returns a stop function that writes the profile to path and
-// disables sampling; an empty path is a no-op. Under the sharded runtime
-// this is the profile that shows shard goroutines stalled at the round
-// barrier — load imbalance across the partition.
+// disables sampling; an empty path is a no-op. It shows sweep workers
+// waiting on one another and the monitor endpoint waiting on the plane.
 func StartBlock(path string) (stop func() error, err error) {
 	if path == "" {
 		return func() error { return nil }, nil

@@ -215,7 +215,6 @@ type Kernel struct {
 	iqHead    int
 	now       Time
 	seq       uint64
-	frontSeq  uint64
 	processed uint64
 
 	// laneExtra counts lane-held events behind their lane's head; the
@@ -256,16 +255,10 @@ func (k *Kernel) QueueStats() QueueStats {
 	}
 }
 
-// normalBand is the first seq value of the ordinary At/AtH band. Seq
-// values below it belong to the front band (AtHFront), so a front event
-// always precedes same-instant normal events in the (at, seq) order.
-const normalBand = uint64(1) << 62
-
 // NewKernel returns a kernel whose clock starts at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{seq: normalBand}
+	k := &Kernel{}
 	k.tw.nextLB = MaxTime
-	k.tw.nextAt = MaxTime
 	return k
 }
 
@@ -362,30 +355,6 @@ func (k *Kernel) push(at Time, seq, arg uint64, h Handler) {
 	}
 }
 
-// AtHFront schedules h.Handle(arg) at the absolute instant t ahead of
-// every same-instant event the normal At/AtH band has scheduled or will
-// schedule. The sharded runtime injects cross-shard deliveries through
-// it: in a single-kernel run a cable delivery event is inserted at
-// serialization end — at least one propagation delay before it fires —
-// so it precedes any same-instant work the destination schedules while
-// the beat is still in flight, and the front band reproduces that
-// insertion point. Front events keep their own insertion order; unlike
-// AtH, a front event at the current instant still goes through the heap
-// so it can overtake the immediate ring.
-func (k *Kernel) AtHFront(t Time, h Handler, arg uint64) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
-	if h == nil {
-		panic("sim: scheduling a nil handler")
-	}
-	k.frontSeq++
-	if k.frontSeq >= normalBand {
-		panic("sim: front-band seq exhausted")
-	}
-	k.push(t, k.frontSeq, arg, h)
-}
-
 // AfterH schedules h.Handle(arg) d after the current instant.
 func (k *Kernel) AfterH(d Duration, h Handler, arg uint64) {
 	if d < 0 {
@@ -398,8 +367,8 @@ func (k *Kernel) AfterH(d Duration, h Handler, arg uint64) {
 // already scheduled for this instant.
 func (k *Kernel) PostH(h Handler, arg uint64) { k.AtH(k.now, h, arg) }
 
-// Stop makes the currently executing Run/RunUntil return after the current
-// event completes. Pending events remain queued.
+// Stop makes the currently executing Run/RunUntil/StepTo return after the
+// current event completes. Pending events remain queued.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // step dispatches the earliest event across the heap (with the lanes it
@@ -465,67 +434,6 @@ func (k *Kernel) stepLane() {
 	h.Handle(arg)
 }
 
-// NextEventTime returns the timestamp of the earliest pending event,
-// including timers still waiting in the wheel (their exact deadlines, not
-// slot bounds — the sharded runtime's conservative horizon and AdvanceTo's
-// skip check both need the true minimum). ok is false when nothing is
-// scheduled. Immediate-ring events sit at the current instant by
-// construction.
-func (k *Kernel) NextEventTime() (Time, bool) {
-	if k.iqHead < len(k.iq) {
-		return k.now, true
-	}
-	next := MaxTime
-	found := false
-	if len(k.pq) > 0 {
-		next = k.pq[0].at
-		found = true
-	}
-	if k.tw.count > 0 {
-		if wn := k.tw.next(); !found || wn < next {
-			next = wn
-			found = true
-		}
-	}
-	return next, found
-}
-
-// RunBelow dispatches every event with timestamp strictly before horizon and
-// returns the final simulated time. Unlike RunUntil it never advances the
-// clock past the last dispatched event, so a conservative-PDES coordinator
-// can resume the kernel with a later horizon without losing the frontier.
-func (k *Kernel) RunBelow(horizon Time) Time {
-	if k.running {
-		panic("sim: Kernel.Run called reentrantly")
-	}
-	if horizon <= 0 {
-		return k.now
-	}
-	k.running = true
-	k.stopped = false
-	defer func() { k.running = false }()
-	for !k.stopped && k.step(horizon-1) {
-	}
-	return k.now
-}
-
-// AdvanceTo moves the clock forward to t without dispatching anything.
-// Events scheduled before t must already have been dispatched (RunBelow(t));
-// skipping one would corrupt causality, so that panics. Events at exactly t
-// stay pending and dispatch when the kernel next runs.
-func (k *Kernel) AdvanceTo(t Time) {
-	if k.running {
-		panic("sim: AdvanceTo during Run")
-	}
-	if t < k.now {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) before now %v", t, k.now))
-	}
-	if next, ok := k.NextEventTime(); ok && next < t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) would skip event at %v", t, next))
-	}
-	k.now = t
-}
-
 // Run dispatches events until the queue drains or Stop is called, and
 // returns the final simulated time.
 func (k *Kernel) Run() Time { return k.RunUntil(MaxTime) }
@@ -534,6 +442,31 @@ func (k *Kernel) Run() Time { return k.RunUntil(MaxTime) }
 // limit if it was reached with events still pending, and returns the final
 // simulated time. Reentrant calls panic.
 func (k *Kernel) RunUntil(limit Time) Time {
+	if k.drain(limit) && limit != MaxTime && k.now < limit {
+		k.now = limit
+	}
+	return k.now
+}
+
+// StepTo dispatches every event before t, then sets the clock to t unless
+// Stop was called, in which case the clock stays at the stopping event. It
+// returns the final simulated time. Events at exactly t stay pending until
+// the kernel next runs, so a driver can step a run in phases and act at
+// each boundary before anything scheduled for it fires. A t before the
+// current instant panics.
+func (k *Kernel) StepTo(t Time) Time {
+	if t < k.now {
+		panic(fmt.Sprintf("sim: StepTo(%v) before now %v", t, k.now))
+	}
+	if k.drain(t - 1) {
+		k.now = t
+	}
+	return k.now
+}
+
+// drain dispatches events with timestamps <= limit until none remain or
+// Stop is called, and reports whether it ran out rather than stopped.
+func (k *Kernel) drain(limit Time) bool {
 	if k.running {
 		panic("sim: Kernel.Run called reentrantly")
 	}
@@ -542,10 +475,7 @@ func (k *Kernel) RunUntil(limit Time) Time {
 	defer func() { k.running = false }()
 	for !k.stopped && k.step(limit) {
 	}
-	if !k.stopped && limit != MaxTime && k.now < limit {
-		k.now = limit
-	}
-	return k.now
+	return !k.stopped
 }
 
 // tickerState is the re-arming handler behind Ticker. Each firing draws a

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -252,5 +253,187 @@ func TestKernelDispatchOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", name)
+		}
+	}()
+	fn()
+}
+
+// TestTickerRejectsNonPositivePeriod: a zero or negative period would
+// self-schedule at the same instant forever; the kernel must refuse it.
+func TestTickerRejectsNonPositivePeriod(t *testing.T) {
+	for _, period := range []Duration{0, -5} {
+		k := NewKernel()
+		mustPanic(t, fmt.Sprintf("Ticker(%d)", period), func() {
+			k.Ticker(period, func() bool { return true })
+		})
+	}
+}
+
+// stepRec records the instant of every dispatch and calls Stop once stopAt
+// events have fired (0 = never). A dispatch with arg 1 also posts a
+// follow-up at its own instant, through the immediate ring.
+type stepRec struct {
+	k      *Kernel
+	fired  []Time
+	stopAt int
+}
+
+func (r *stepRec) Handle(arg uint64) {
+	r.fired = append(r.fired, r.k.Now())
+	if arg == 1 {
+		r.k.PostH(r, 0)
+	}
+	if len(r.fired) == r.stopAt {
+		r.k.Stop()
+	}
+}
+
+// TestKernelStepTo checks StepTo(t) wherever the event at exactly t waits
+// when the step ends: events before t fire, the event at t stays pending
+// until the next Run, and the clock reads t. Each case with events before
+// t runs a second time with Stop called by the last of them, which must
+// leave the clock at that event rather than at t.
+func TestKernelStepTo(t *testing.T) {
+	const d = 4 * Nanosecond
+	for _, tc := range []struct {
+		name   string
+		build  func(k *Kernel, r *stepRec)
+		to     Time
+		before []Time
+		// waits reports whether the event at to waits where the case
+		// says it does once StepTo returns.
+		waits func(k *Kernel) bool
+	}{
+		{
+			name: "heap",
+			build: func(k *Kernel, r *stepRec) {
+				for _, at := range []Time{10, 20, 30} {
+					k.AtH(at, r, 0)
+				}
+			},
+			to: 30, before: []Time{10, 20},
+			waits: func(k *Kernel) bool { return len(k.pq) == 1 && k.pq[0].h != nil },
+		},
+		{
+			// An event in the ring sits at the current instant, so the
+			// ring can only hold the event at t when the kernel already
+			// stands at t; ring events before t are the "ring-before"
+			// case's follow-ups.
+			name: "ring",
+			build: func(k *Kernel, r *stepRec) {
+				k.StepTo(30)
+				k.PostH(r, 0)
+			},
+			to:    30,
+			waits: func(k *Kernel) bool { return len(k.iq)-k.iqHead == 1 },
+		},
+		{
+			name: "ring-before",
+			build: func(k *Kernel, r *stepRec) {
+				k.AtH(10, r, 1)
+				k.AtH(30, r, 0)
+			},
+			to: 30, before: []Time{10, 10},
+			waits: func(k *Kernel) bool { return len(k.pq) == 1 && len(k.iq) == k.iqHead },
+		},
+		{
+			// The only event before the fillers is lane-held.
+			name:  "lane-single",
+			build: func(k *Kernel, r *stepRec) { laneKernel(t, k, r, d, 1) },
+			to:    Time(d) + 1, before: []Time{Time(d)},
+			waits: func(k *Kernel) bool { return k.QueueStats().Lanes == 1 },
+		},
+		{
+			name:  "lane-resume",
+			build: func(k *Kernel, r *stepRec) { laneKernel(t, k, r, d, 9) },
+			to:    Time(d) + 5, before: []Time{Time(d), Time(d) + 1, Time(d) + 2, Time(d) + 3, Time(d) + 4},
+			waits: func(k *Kernel) bool { return k.QueueStats().Lanes == 1 },
+		},
+		{
+			// A deadline on a tick boundary: its slot starts at t, so the
+			// timer is still linked into the wheel.
+			name: "wheel",
+			build: func(k *Kernel, r *stepRec) {
+				k.ArmTimer(700*Nanosecond, r, 0)
+				k.ArmTimer(2*Microsecond, r, 0)
+			},
+			to: Time(2 * Microsecond), before: []Time{Time(700 * Nanosecond)},
+			waits: func(k *Kernel) bool { return k.tw.count == 1 },
+		},
+		{
+			// A deadline inside a tick: its slot starts before t, so the
+			// timer has been collected into the heap but must not fire.
+			name: "wheel-mid-tick",
+			build: func(k *Kernel, r *stepRec) {
+				k.ArmTimer(700*Nanosecond, r, 0)
+				k.ArmTimer(1500*Nanosecond, r, 0)
+			},
+			to: Time(1500 * Nanosecond), before: []Time{Time(700 * Nanosecond)},
+			waits: func(k *Kernel) bool { return k.tw.count == 0 && k.tw.pendingHeap == 1 },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			r := &stepRec{k: k}
+			tc.build(k, r)
+			if got := k.StepTo(tc.to); got != tc.to || k.Now() != tc.to {
+				t.Fatalf("StepTo(%v) = %v, Now() = %v", tc.to, got, k.Now())
+			}
+			if fmt.Sprint(r.fired) != fmt.Sprint(tc.before) {
+				t.Fatalf("StepTo(%v) dispatched at %v, want %v", tc.to, r.fired, tc.before)
+			}
+			if !tc.waits(k) {
+				t.Fatalf("the event at %v is not where the case expects it (%+v)", tc.to, k.QueueStats())
+			}
+			mustPanic(t, "StepTo backwards", func() { k.StepTo(tc.to - 1) })
+			pending := k.Pending()
+			k.Run()
+			if len(r.fired) <= len(tc.before) || r.fired[len(tc.before)] != tc.to {
+				t.Fatalf("the next Run dispatched %v after %v, want the event at %v first", r.fired[len(tc.before):], tc.before, tc.to)
+			}
+			if got := len(r.fired) - len(tc.before); got != pending {
+				t.Fatalf("the next Run dispatched %d events, %d were pending", got, pending)
+			}
+			if len(tc.before) == 0 {
+				return
+			}
+
+			k = NewKernel()
+			r = &stepRec{k: k}
+			tc.build(k, r)
+			r.stopAt = len(r.fired) + len(tc.before)
+			last := tc.before[len(tc.before)-1]
+			if got := k.StepTo(tc.to); got != last || k.Now() != last {
+				t.Fatalf("StepTo(%v) stopped by the event at %v = %v, Now() = %v", tc.to, last, got, k.Now())
+			}
+			if fmt.Sprint(r.fired) != fmt.Sprint(tc.before) {
+				t.Fatalf("stopped StepTo(%v) dispatched at %v, want %v", tc.to, r.fired, tc.before)
+			}
+		})
+	}
+}
+
+// laneKernel brings k to now = n with a deep heap of far-future fillers,
+// one event of delay d at d in the heap (its delay only tagged the lane
+// slot) and n more, at d+1 … d+n, waiting in the lane.
+func laneKernel(t *testing.T, k *Kernel, h Handler, d Duration, n int) {
+	for i := 0; i < 2*laneGate; i++ {
+		k.AtH(Time(Second)+Time(i), h, 0)
+	}
+	k.AfterH(d, h, 0)
+	for i := 1; i <= n; i++ {
+		k.StepTo(Time(i))
+		k.AfterH(d, h, 0)
+	}
+	if qs := k.QueueStats(); qs.Lanes != 1 || qs.ToLanes != uint64(n) {
+		t.Fatalf("setup: %+v, want %d lane-held events", qs, n)
 	}
 }

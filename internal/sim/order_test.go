@@ -11,40 +11,36 @@ import (
 // fixed-delay lanes fill up.
 var rackDelays = [8]Duration{150000, 100000, 3680, 300000, 13920, 4000, 2000, 90000}
 
-// refEvent is one pending event of the order reference. band 0 is the
-// AtHFront band and precedes band 1 at equal instants; ord is the
-// insertion order within a band. (at, band, ord) restates the kernel's
-// (at, seq) contract without its seq arithmetic.
+// refEvent is one pending event of the order reference; ids are handed
+// out in scheduling order, so (at, id) restates the kernel's (at, seq)
+// contract.
 type refEvent struct {
-	at   Time
-	band int
-	ord  uint64
-	id   uint64
+	at Time
+	id uint64
 }
 
 func (e refEvent) before(o refEvent) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
-	if e.band != o.band {
-		return e.band < o.band
-	}
-	return e.ord < o.ord
+	return e.id < o.id
 }
 
 // orderRun drives a kernel with a byte program and checks it against a
-// linear-scan reference: every dispatch must be the reference minimum, and
-// Pending/NextEventTime must agree with the reference after every step.
+// linear-scan reference: every dispatch must be the reference minimum,
+// Pending must agree with the reference after every step, and a StepTo
+// boundary must leave nothing pending before it and everything at or after
+// it.
 type orderRun struct {
 	t      testing.TB
 	k      *Kernel
 	prog   []byte
 	pc     int
 	ref    []refEvent
-	ords   [2]uint64
 	nextID uint64
-	depth  int // population the program keeps pending
-	budget int // events the program may still schedule
+	depth  int  // population the program keeps pending
+	budget int  // events the program may still schedule
+	bound  Time // dispatches must precede it (StepTo's t; MaxTime under Run)
 	log    []uint64
 
 	timers []timerRef // armed timers, live or cancelled
@@ -83,10 +79,9 @@ func (r *orderRun) delay() Duration {
 
 func (r *orderRun) Handle(id uint64) { r.fire(id) }
 
-func (r *orderRun) add(at Time, band int) uint64 {
+func (r *orderRun) add(at Time) uint64 {
 	r.nextID++
-	r.ords[band]++
-	r.ref = append(r.ref, refEvent{at: at, band: band, ord: r.ords[band], id: r.nextID})
+	r.ref = append(r.ref, refEvent{at: at, id: r.nextID})
 	return r.nextID
 }
 
@@ -101,32 +96,28 @@ func (r *orderRun) op() {
 	case b < 120:
 		r.budget--
 		d := r.delay()
-		k.AfterH(d, r, r.add(k.Now().Add(d), 1))
+		k.AfterH(d, r, r.add(k.Now().Add(d)))
 	case b < 150:
 		r.budget--
 		at := k.Now().Add(r.delay())
-		k.AtH(at, r, r.add(at, 1))
+		k.AtH(at, r, r.add(at))
 	case b < 170:
 		r.budget--
 		at := k.Now().Add(r.delay())
-		id := r.add(at, 1)
+		id := r.add(at)
 		k.At(at, func() { r.fire(id) })
 	case b < 190:
 		r.budget--
-		id := r.add(k.Now(), 1)
+		id := r.add(k.Now())
 		k.Post(func() { r.fire(id) })
-	case b < 205:
-		r.budget--
-		at := k.Now().Add(Duration(r.byte()&3) * r.delay())
-		k.AtHFront(at, r, r.add(at, 0))
-	case b < 235:
+	case b < 225:
 		r.budget--
 		d := r.delay()
 		if r.byte() < 64 {
 			d *= 40 // past level 0 of the wheel
 		}
 		at := k.Now().Add(d)
-		id := r.add(at, 1)
+		id := r.add(at)
 		r.timers = append(r.timers, timerRef{id: k.ArmTimer(d, r, id), ref: id, at: at})
 	default:
 		if len(r.timers) == 0 {
@@ -182,6 +173,9 @@ func (r *orderRun) fire(id uint64) {
 		r.t.Fatalf("dispatch %d: event %d at %v, reference wants event %d at %v",
 			len(r.log), id, r.k.Now(), want.id, want.at)
 	}
+	if r.k.Now() >= r.bound {
+		r.t.Fatalf("event %d dispatched at %v inside StepTo(%v)", id, r.k.Now(), r.bound)
+	}
 	r.remove(i)
 	r.log = append(r.log, id)
 	r.check()
@@ -194,12 +188,12 @@ func (r *orderRun) fire(id uint64) {
 	}
 }
 
-// check compares Pending and NextEventTime with the reference. Cancelled
-// timers whose instant has not passed may still be pending as no-ops, so
-// they widen the allowed range; with none, both must match exactly.
+// check compares Pending with the reference. Cancelled timers whose
+// instant has not passed may still be pending as no-ops, so they widen the
+// allowed range; with none, Pending must match exactly.
 func (r *orderRun) check() {
 	now := r.k.Now()
-	ghosts, ghostMin := 0, MaxTime
+	ghosts := 0
 	live := r.timers[:0]
 	for _, tr := range r.timers {
 		if tr.at < now {
@@ -208,38 +202,46 @@ func (r *orderRun) check() {
 		live = append(live, tr)
 		if tr.cancelled {
 			ghosts++
-			ghostMin = min(ghostMin, tr.at)
 		}
 	}
 	r.timers = live
 	if p := r.k.Pending(); p < len(r.ref) || p > len(r.ref)+ghosts {
 		r.t.Fatalf("at %v: Pending() = %d, reference holds %d (+%d cancelled timers)", now, p, len(r.ref), ghosts)
 	}
-	want, wantOK := MaxTime, false
-	if i := r.min(); i >= 0 {
-		want, wantOK = r.ref[i].at, true
+}
+
+// stepTo is the driver's StepTo op: every reference event before to must
+// have fired, none at or after it, and the clock must read to.
+func (r *orderRun) stepTo(to Time) {
+	r.bound = to
+	got := r.k.StepTo(to)
+	r.bound = MaxTime
+	if got != to || r.k.Now() != to {
+		r.t.Fatalf("StepTo(%v) = %v, Now() = %v", to, got, r.k.Now())
 	}
-	got, ok := r.k.NextEventTime()
-	if ghosts == 0 {
-		if ok != wantOK || (ok && got != want) {
-			r.t.Fatalf("at %v: NextEventTime() = %v,%v, reference %v,%v", now, got, ok, want, wantOK)
-		}
-		return
+	if i := r.min(); i >= 0 && r.ref[i].at < to {
+		r.t.Fatalf("StepTo(%v) left event %d at %v pending", to, r.ref[i].id, r.ref[i].at)
 	}
-	if ok && (got > want || got < min(want, ghostMin)) || !ok && wantOK {
-		r.t.Fatalf("at %v: NextEventTime() = %v,%v, reference %v (cancelled timers from %v)", now, got, ok, want, ghostMin)
-	}
+	r.check()
 }
 
 // runOrderProgram seeds the kernel with depth events, lets the program
-// grow from their handlers until budget events have been scheduled, runs
-// the kernel dry and checks that everything scheduled was dispatched.
+// grow from their handlers until budget events have been scheduled, and
+// drives the kernel in program-chosen StepTo phases, with a driver-side op
+// at each boundary, before running it dry. It checks that everything
+// scheduled was dispatched.
 func runOrderProgram(t testing.TB, prog []byte, depth, budget int) *orderRun {
-	r := &orderRun{t: t, k: NewKernel(), prog: prog, depth: depth, budget: budget}
+	r := &orderRun{t: t, k: NewKernel(), prog: prog, depth: depth, budget: budget, bound: MaxTime}
 	for i := 0; i < depth; i++ {
 		d := r.delay()
-		r.k.AfterH(d, r, r.add(Time(d), 1))
+		r.k.AfterH(d, r, r.add(Time(d)))
 		r.check()
+	}
+	for steps := 0; steps < 64 && len(r.ref) > 0; steps++ {
+		// A zero step (byte < 16) re-steps to the current instant, which
+		// must dispatch nothing.
+		r.stepTo(r.k.Now().Add(Duration(r.byte()/16) * r.delay()))
+		r.op()
 	}
 	r.k.Run()
 	if len(r.ref) != 0 {
@@ -252,8 +254,9 @@ func runOrderProgram(t testing.TB, prog []byte, depth, budget int) *orderRun {
 }
 
 // TestKernelOrderMatchesReference runs random programs mixing repeated and
-// random delays, absolute and closure schedules, same-instant posts, front
-// events and cancellable timers, with handlers scheduling more work. The
+// random delays, absolute and closure schedules, same-instant posts and
+// cancellable timers, with handlers scheduling more work and the driver
+// stepping the kernel in StepTo phases. The
 // shallow variant stays below the lane gate, where every future event
 // takes the heap; the deep one keeps a rack-like population pending, so
 // lanes carry most of it.
@@ -296,87 +299,4 @@ func FuzzKernelOrder(f *testing.F) {
 		runOrderProgram(t, prog, 8, 300)
 		runOrderProgram(t, prog, 64, 600)
 	})
-}
-
-// laneKernel returns a kernel at now = n with a deep heap of far-future
-// fillers, one event at d in the heap (its delay only tagged the lane
-// slot) and n more of delay d, at d+1 … d+n, waiting in the lane.
-func laneKernel(t *testing.T, d Duration, n int) (*Kernel, *[]Time) {
-	k := NewKernel()
-	var fired []Time
-	p := &timeProbe{k: k, fired: &fired}
-	for i := 0; i < 2*laneGate; i++ {
-		k.AtH(Time(Second)+Time(i), p, 0)
-	}
-	k.AfterH(d, p, 0)
-	for i := 1; i <= n; i++ {
-		k.AdvanceTo(Time(i))
-		k.AfterH(d, p, 0)
-	}
-	if qs := k.QueueStats(); qs.Lanes != 1 || qs.ToLanes != uint64(n) {
-		t.Fatalf("setup: %+v, want %d lane-held events", qs, n)
-	}
-	return k, &fired
-}
-
-// timeProbe records the instant of every dispatch.
-type timeProbe struct {
-	k     *Kernel
-	fired *[]Time
-}
-
-func (p *timeProbe) Handle(uint64) { *p.fired = append(*p.fired, p.k.Now()) }
-
-// TestAdvanceToSeesLaneHeldEvents pins the conservative-PDES skip check:
-// an event waiting in a lane is as pending as one in the heap.
-func TestAdvanceToSeesLaneHeldEvents(t *testing.T) {
-	const d = 4 * Nanosecond
-	k, fired := laneKernel(t, d, 1)
-	k.RunUntil(Time(d))
-	if len(*fired) != 1 {
-		t.Fatalf("RunUntil(%v) dispatched at %v", d, *fired)
-	}
-	// Only the lane-held event at d+1 precedes the fillers now.
-	if next, ok := k.NextEventTime(); !ok || next != Time(d)+1 {
-		t.Fatalf("NextEventTime() = %v,%v, want %v", next, ok, Time(d)+1)
-	}
-	if got, want := k.Pending(), 2*laneGate+1; got != want {
-		t.Fatalf("Pending() = %d, want %d", got, want)
-	}
-	k.AdvanceTo(Time(d) + 1) // up to the lane-held event is fine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdvanceTo past a lane-held event did not panic")
-		}
-	}()
-	k.AdvanceTo(Time(d) + 2)
-}
-
-// TestRunBelowResumesLanes pins the sharded runtime's round protocol on
-// lane-held events: RunBelow(h) stops before h with lane events pending,
-// and the next round dispatches them in order.
-func TestRunBelowResumesLanes(t *testing.T) {
-	const d = 4 * Nanosecond
-	k, fired := laneKernel(t, d, 9)
-	h := Time(d) + 5
-	if got := k.RunBelow(h); got != h-1 {
-		t.Fatalf("RunBelow(%v) stopped at %v, want %v", h, got, h-1)
-	}
-	if next, ok := k.NextEventTime(); !ok || next != h {
-		t.Fatalf("NextEventTime() after RunBelow = %v,%v, want %v", next, ok, h)
-	}
-	if got, want := k.Pending(), 2*laneGate+5; got != want {
-		t.Fatalf("Pending() = %d, want %d", got, want)
-	}
-	k.RunBelow(Time(Second))
-	var want []Time
-	for i := 0; i <= 9; i++ {
-		want = append(want, Time(d)+Time(i))
-	}
-	if fmt.Sprint(*fired) != fmt.Sprint(want) {
-		t.Fatalf("dispatched at %v, want %v", *fired, want)
-	}
-	if qs := k.QueueStats(); qs.Lanes != 0 || qs.LanesHigh != 1 || qs.ToLanes != 9 {
-		t.Fatalf("QueueStats() = %+v", qs)
-	}
 }

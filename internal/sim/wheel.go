@@ -21,8 +21,8 @@ import (
 // from a pointer-stable free list, and a per-level occupancy bitmap makes
 // empty-slot skipping a RotateLeft64+TrailingZeros64.
 //
-// Determinism contract: ArmTimer consumes one seq from the kernel's normal
-// band at arm time, exactly as AfterH would. When a timer becomes due its
+// Determinism contract: ArmTimer consumes one seq from the kernel's
+// counter at arm time, exactly as AfterH would. When a timer becomes due its
 // cell is moved into the heap carrying that original (at, seq) key,
 // so the dispatch order of live timers is byte-identical to the pre-wheel
 // schedule — the wheel only changes *where* a timer waits, never *when* it
@@ -121,12 +121,6 @@ type timerWheel struct {
 	// cancellation; collection refreshes it.
 	nextLB Time
 
-	// nextAt is the exact earliest armed deadline, maintained lazily:
-	// valid while nextDirty is false. Cancelling the minimum or collecting
-	// invalidates it; NextEventTime recomputes on demand.
-	nextAt    Time
-	nextDirty bool
-
 	free *timerCell
 
 	armed, cancelled, fired, fallback uint64
@@ -197,9 +191,6 @@ func (w *timerWheel) insert(c *timerCell) bool {
 		w.count++
 		if start := Time((tick >> sh << sh) * wheelTickPs); start < w.nextLB {
 			w.nextLB = start
-		}
-		if !w.nextDirty && c.at < w.nextAt {
-			w.nextAt = c.at
 		}
 		return true
 	}
@@ -275,7 +266,6 @@ func (w *timerWheel) collectEarliest(k *Kernel, bound Time) {
 			c.lvl = cellPending
 			w.count--
 			w.pendingHeap++
-			w.nextDirty = true
 			k.push(c.at, c.seq, c.gen, c)
 			c = nx
 		}
@@ -296,41 +286,6 @@ func (w *timerWheel) collectEarliest(k *Kernel, bound Time) {
 	}
 	t0, _ = w.nextOccupied()
 	w.nextLB = Time(t0 * wheelTickPs)
-}
-
-// minAt returns the exact earliest armed deadline across the wheel's
-// slots, MaxTime when none are linked. Per level the first occupied slot's
-// window precedes every later slot's, so only that slot's list is walked.
-func (w *timerWheel) minAt() Time {
-	min := MaxTime
-	for l := 0; l < wheelLevels; l++ {
-		if w.occ[l] == 0 {
-			continue
-		}
-		sh := uint(wheelSlotBits * l)
-		curSlot := w.cur >> sh
-		off := bits.TrailingZeros64(bits.RotateLeft64(w.occ[l], -int(curSlot&wheelSlotMask)))
-		slot := int((curSlot + int64(off)) & wheelSlotMask)
-		for c := w.slots[l][slot]; c != nil; c = c.next {
-			if c.at < min {
-				min = c.at
-			}
-		}
-	}
-	return min
-}
-
-// next returns the exact earliest armed deadline, recomputing the cached
-// value when a cancellation or collection invalidated it.
-func (w *timerWheel) next() Time {
-	if w.count == 0 {
-		return MaxTime
-	}
-	if w.nextDirty {
-		w.nextAt = w.minAt()
-		w.nextDirty = false
-	}
-	return w.nextAt
 }
 
 // ArmTimer schedules h.Handle(arg) at d after the current instant and
@@ -392,9 +347,6 @@ func (k *Kernel) CancelTimer(id TimerID) bool {
 	}
 	if c.lvl >= 0 {
 		w.unlink(c)
-		if !w.nextDirty && c.at == w.nextAt {
-			w.nextDirty = true
-		}
 	}
 	// Collected or fallback cells stay in the heap/ring and fire as
 	// generation-checked no-ops; the release below orphans them.

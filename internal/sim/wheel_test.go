@@ -348,25 +348,6 @@ func TestTimerWheelZeroAndFallback(t *testing.T) {
 	}
 }
 
-// TestTimerWheelAdvanceToExactDeadline reproduces the sharded StepTo
-// pattern: AdvanceTo to the exact deadline of a pending wheel timer must
-// not panic (NextEventTime must report the exact deadline, not its slot's
-// lower bound).
-func TestTimerWheelAdvanceToExactDeadline(t *testing.T) {
-	k := NewKernel()
-	log := &fireLog{k: k}
-	// 1.5µs: inside a 1µs tick, so the slot starts before the deadline.
-	k.ArmTimer(Duration(1500*Nanosecond), log, 1)
-	if next, ok := k.NextEventTime(); !ok || next != Time(1500*Nanosecond) {
-		t.Fatalf("NextEventTime = %v, %v; want exact deadline", next, ok)
-	}
-	k.AdvanceTo(Time(1500 * Nanosecond)) // must not panic
-	k.Run()
-	if len(log.fired) != 1 || log.fired[0].at != Time(1500*Nanosecond) {
-		t.Fatalf("timer after AdvanceTo: %+v", log.fired)
-	}
-}
-
 // TestTimerWheelWarmedArmCancelAllocs: the arm/cancel churn path must not
 // allocate once the cell pool is warmed.
 func TestTimerWheelWarmedArmCancelAllocs(t *testing.T) {
