@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test examples bench-test race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden trace-smoke metrics-smoke bench bench-gate cover-pool clean
+.PHONY: all build test examples bench-test fuzz-smoke race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden trace-smoke metrics-smoke bench bench-gate cover-pool clean
 
 # Benchmark artifact for this PR and the committed baseline it is gated
 # against (previous PR's numbers).
@@ -26,6 +26,22 @@ examples:
 # the root `go test ./...` does not reach them.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# Fuzz each target for FUZZTIME (10s by default) on top of its seed
+# corpus: a short per-change exploration of the kernel's event order, the
+# trace reader, the allocator and the ARQ's dense transaction table.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = FuzzKernelOrder:./internal/sim \
+	FuzzTraceReader:./internal/trace \
+	FuzzAllocatorOps:./internal/pool \
+	FuzzARQResponseStream:./internal/tfnic
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		name=$${t%%:*}; pkg=$${t#*:}; \
+		echo "== $$name ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 race:
 	$(GO) test -race ./...

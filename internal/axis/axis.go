@@ -17,19 +17,23 @@ package axis
 import (
 	"fmt"
 
+	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
 )
 
 // Beat is one AXI4-Stream transfer: a data word (here: up to a full
 // transaction's flits collapsed into one beat of Bytes bytes on the wire)
-// plus routing metadata.
+// plus routing metadata. It is 32 bytes with one typed pointer and no
+// interface, so every FIFO ring, delay-line flight and switch hop copies
+// half a cache line per beat and nothing is boxed.
 type Beat struct {
-	Bytes int      // wire size, used for link serialization downstream
-	Last  bool     // TLAST: end of packet
-	Dest  int      // TDEST: routing key
-	Flow  int      // source identifier for fairness accounting
-	Born  sim.Time // when the beat entered the pipeline (for latency probes)
-	Meta  any      // carried transaction (e.g. *ocapi.Packet)
+	Born sim.Time      // when the beat entered the pipeline (for latency probes)
+	Pkt  *ocapi.Packet // carried transaction; nil for payload-free beats
+	// Bytes is the wire size, used for link serialization downstream.
+	Bytes int32
+	Dest  int32 // TDEST: routing key
+	Flow  int32 // source identifier for fairness accounting
+	Last  bool  // TLAST: end of packet
 	// Corrupt marks a beat damaged in flight (bit errors on the wire or in
 	// the FPGA datapath). The payload still occupies its full wire size;
 	// receivers detect the damage via CRC and must not trust the contents.

@@ -3,9 +3,19 @@ package axis
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"thymesim/internal/sim"
 )
+
+// TestBeatSize pins the beat layout: every FIFO slot, delay-line flight and
+// switch hop copies a Beat, so it must stay half a cache line with no
+// interface in it.
+func TestBeatSize(t *testing.T) {
+	if got := unsafe.Sizeof(Beat{}); got != 32 {
+		t.Fatalf("sizeof(Beat) = %d, want 32", got)
+	}
+}
 
 func TestFIFOBasics(t *testing.T) {
 	f := NewFIFO("q", 2)
@@ -45,11 +55,11 @@ func TestFIFOWrapAround(t *testing.T) {
 	f := NewFIFO("q", 3)
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 3; i++ {
-			f.Push(Beat{Dest: round*10 + i})
+			f.Push(Beat{Dest: int32(round*10 + i)})
 		}
 		for i := 0; i < 3; i++ {
 			b, ok := f.Pop()
-			if !ok || b.Dest != round*10+i {
+			if !ok || int(b.Dest) != round*10+i {
 				t.Fatalf("round %d item %d: got %v", round, i, b.Dest)
 			}
 		}
@@ -86,7 +96,7 @@ func TestPumpMovesAtCycleRate(t *testing.T) {
 	p := NewPump(k, in, out, 10*sim.Nanosecond, nil)
 	k.At(0, func() {
 		for i := 0; i < 5; i++ {
-			in.Push(Beat{Dest: i, Born: k.Now()})
+			in.Push(Beat{Dest: int32(i), Born: k.Now()})
 		}
 	})
 	end := k.Run()
@@ -106,7 +116,7 @@ func TestPumpBackpressure(t *testing.T) {
 	NewPump(k, in, out, sim.Nanosecond, nil)
 	k.At(0, func() {
 		for i := 0; i < 6; i++ {
-			in.Push(Beat{Dest: i})
+			in.Push(Beat{Dest: int32(i)})
 		}
 	})
 	k.Run()
@@ -130,7 +140,7 @@ func TestPumpPreservesOrder(t *testing.T) {
 	NewPump(k, mid, out, 3*sim.Nanosecond, nil)
 	k.At(0, func() {
 		for i := 0; i < 30; i++ {
-			in.Push(Beat{Dest: i})
+			in.Push(Beat{Dest: int32(i)})
 		}
 	})
 	k.Run()
@@ -139,7 +149,7 @@ func TestPumpPreservesOrder(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		b, _ := out.Pop()
-		if b.Dest != i {
+		if int(b.Dest) != i {
 			t.Fatalf("order violated at %d: %d", i, b.Dest)
 		}
 	}
@@ -151,7 +161,7 @@ func TestPumpOnForward(t *testing.T) {
 	out := NewFIFO("out", 4)
 	p := NewPump(k, in, out, sim.Nanosecond, nil)
 	var seen []int
-	p.OnForward(func(b Beat) { seen = append(seen, b.Dest) })
+	p.OnForward(func(b Beat) { seen = append(seen, int(b.Dest)) })
 	k.At(0, func() { in.Push(Beat{Dest: 7}) })
 	k.Run()
 	if len(seen) != 1 || seen[0] != 7 {
@@ -178,6 +188,11 @@ func TestMuxRoundRobinFairness(t *testing.T) {
 	if m.FlowTransfers(1) != 50 || m.FlowTransfers(2) != 50 {
 		t.Fatalf("flow counts = %d/%d", m.FlowTransfers(1), m.FlowTransfers(2))
 	}
+	for _, flow := range []int{-1, 0, 3, 1 << 20} {
+		if n := m.FlowTransfers(flow); n != 0 {
+			t.Fatalf("unseen flow %d counts %d", flow, n)
+		}
+	}
 	// Strict alternation when both inputs are backlogged.
 	prev := -1
 	same := 0
@@ -186,10 +201,10 @@ func TestMuxRoundRobinFairness(t *testing.T) {
 		if !ok {
 			break
 		}
-		if beat.Flow == prev {
+		if int(beat.Flow) == prev {
 			same++
 		}
-		prev = beat.Flow
+		prev = int(beat.Flow)
 	}
 	if same != 0 {
 		t.Fatalf("mux not alternating: %d repeats", same)
@@ -204,7 +219,7 @@ func TestMuxSingleActiveInput(t *testing.T) {
 	NewMux(k, []*FIFO{a, b}, out, sim.Nanosecond, nil)
 	k.At(0, func() {
 		for i := 0; i < 5; i++ {
-			a.Push(Beat{Flow: 1, Dest: i})
+			a.Push(Beat{Flow: 1, Dest: int32(i)})
 		}
 	})
 	end := k.Run()
@@ -249,6 +264,40 @@ func TestRouterDropsUnroutable(t *testing.T) {
 	k.Run()
 	if r.Dropped() != 1 || o1.Len() != 1 {
 		t.Fatalf("dropped=%d o1=%d", r.Dropped(), o1.Len())
+	}
+}
+
+// TestRouterUnroutableDests covers every way a Dest can miss the dense
+// output table: a hole below the lowest key, a negative Dest, and one past
+// the highest key. Each is dropped when dropping is on and panics when off.
+func TestRouterUnroutableDests(t *testing.T) {
+	for _, dest := range []int32{0, -1, 3, 1 << 30} {
+		k := sim.NewKernel()
+		in := NewFIFO("in", 10)
+		o1 := NewFIFO("o1", 10)
+		o2 := NewFIFO("o2", 10)
+		r := NewRouter(k, in, map[int]*FIFO{1: o1, 2: o2}, sim.Nanosecond, true)
+		k.At(0, func() {
+			in.Push(Beat{Dest: dest})
+			in.Push(Beat{Dest: 2})
+		})
+		k.Run()
+		if r.Dropped() != 1 || o2.Len() != 1 || o1.Len() != 0 {
+			t.Fatalf("dest %d: dropped=%d o1=%d o2=%d", dest, r.Dropped(), o1.Len(), o2.Len())
+		}
+
+		k = sim.NewKernel()
+		in = NewFIFO("in", 10)
+		NewRouter(k, in, map[int]*FIFO{1: NewFIFO("o1", 10)}, sim.Nanosecond, false)
+		k.At(0, func() { in.Push(Beat{Dest: dest}) })
+		func() {
+			defer func() {
+				if r := recover(); r != "axis: unroutable beat" {
+					t.Errorf("dest %d: recovered %v, want the unroutable panic", dest, r)
+				}
+			}()
+			k.Run()
+		}()
 	}
 }
 
@@ -305,7 +354,7 @@ func TestPumpConservationProperty(t *testing.T) {
 		for i, a := range arrivals {
 			i, a := i, a
 			k.At(sim.Time(a)*sim.Time(sim.Nanosecond), func() {
-				in.Push(Beat{Dest: i})
+				in.Push(Beat{Dest: int32(i)})
 			})
 		}
 		k.Run()
@@ -314,7 +363,7 @@ func TestPumpConservationProperty(t *testing.T) {
 		}
 		// Beats pushed at the same instant keep index order; across
 		// different instants order follows time. Verify no dup/loss.
-		seen := make(map[int]bool)
+		seen := make(map[int32]bool)
 		for {
 			b, ok := out.Pop()
 			if !ok {

@@ -36,7 +36,7 @@ func TestDelayLinePipelines(t *testing.T) {
 	NewDelayLine(k, in, out, sim.Duration(sim.Microsecond))
 	k.At(0, func() {
 		for i := 0; i < 10; i++ {
-			in.Push(Beat{Dest: i})
+			in.Push(Beat{Dest: int32(i)})
 		}
 	})
 	end := k.Run()
@@ -49,7 +49,7 @@ func TestDelayLinePipelines(t *testing.T) {
 	// Order preserved.
 	for i := 0; i < 10; i++ {
 		b, _ := out.Pop()
-		if b.Dest != i {
+		if int(b.Dest) != i {
 			t.Fatalf("order violated at %d: %d", i, b.Dest)
 		}
 	}
@@ -62,7 +62,7 @@ func TestDelayLineBackpressureWithInflight(t *testing.T) {
 	NewDelayLine(k, in, out, sim.Duration(sim.Microsecond))
 	k.At(0, func() {
 		for i := 0; i < 8; i++ {
-			in.Push(Beat{Dest: i})
+			in.Push(Beat{Dest: int32(i)})
 		}
 	})
 	k.Run()

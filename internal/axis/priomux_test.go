@@ -32,7 +32,7 @@ func TestPriorityMuxStrictOrder(t *testing.T) {
 		if !ok {
 			break
 		}
-		order = append(order, b.Flow)
+		order = append(order, int(b.Flow))
 	}
 	lastHi := -1
 	firstLoAfterStart := -1
@@ -82,7 +82,7 @@ func TestPriorityMuxGated(t *testing.T) {
 		if !ok {
 			break
 		}
-		order = append(order, b.Flow)
+		order = append(order, int(b.Flow))
 	}
 	want := []int{1, 1, 1, 1, 2, 2, 2, 2}
 	for i, w := range want {

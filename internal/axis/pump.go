@@ -1,6 +1,8 @@
 package axis
 
 import (
+	"fmt"
+
 	"thymesim/internal/sim"
 )
 
@@ -119,7 +121,9 @@ type Mux struct {
 	busyUntil sim.Time
 	armed     bool
 	transfers uint64
-	perFlow   map[int]uint64
+	// perFlow counts transfers by Beat.Flow, grown on first sight of a
+	// flow so the count per beat is one index.
+	perFlow []uint64
 }
 
 // NewMux wires a round-robin multiplexer. gate may be nil.
@@ -130,7 +134,7 @@ func NewMux(k *sim.Kernel, ins []*FIFO, out *FIFO, cycle sim.Duration, gate Gate
 	if gate == nil {
 		gate = PassGate{}
 	}
-	m := &Mux{k: k, ins: ins, out: out, cycle: cycle, gate: gate, perFlow: make(map[int]uint64)}
+	m := &Mux{k: k, ins: ins, out: out, cycle: cycle, gate: gate}
 	for _, in := range ins {
 		in.OnData(m.kick)
 	}
@@ -142,7 +146,20 @@ func NewMux(k *sim.Kernel, ins []*FIFO, out *FIFO, cycle sim.Duration, gate Gate
 func (m *Mux) Transfers() uint64 { return m.transfers }
 
 // FlowTransfers returns beats moved for a given Beat.Flow value.
-func (m *Mux) FlowTransfers(flow int) uint64 { return m.perFlow[flow] }
+func (m *Mux) FlowTransfers(flow int) uint64 {
+	if flow < 0 || flow >= len(m.perFlow) {
+		return 0
+	}
+	return m.perFlow[flow]
+}
+
+// countFlow adds one transfer to flow's tally.
+func (m *Mux) countFlow(flow int32) {
+	if int(flow) >= len(m.perFlow) {
+		m.perFlow = append(m.perFlow, make([]uint64, int(flow)+1-len(m.perFlow))...)
+	}
+	m.perFlow[flow]++
+}
 
 func (m *Mux) anyValid() bool {
 	for _, in := range m.ins {
@@ -189,7 +206,7 @@ func (m *Mux) fire() {
 			m.gate.Commit(now)
 			m.busyUntil = now.Add(m.cycle)
 			m.transfers++
-			m.perFlow[b.Flow]++
+			m.countFlow(b.Flow)
 			m.out.Push(b)
 			break
 		}
@@ -201,9 +218,10 @@ func (m *Mux) fire() {
 // one beat per Cycle. It models the ThymesisFlow routing block upstream of
 // the delay-injection point.
 type Router struct {
-	k         *sim.Kernel
-	in        *FIFO
-	outs      map[int]*FIFO
+	k  *sim.Kernel
+	in *FIFO
+	// outs is indexed by Beat.Dest; a nil entry is a class with no route.
+	outs      []*FIFO
 	cycle     sim.Duration
 	busyUntil sim.Time
 	armed     bool
@@ -213,14 +231,35 @@ type Router struct {
 }
 
 // NewRouter wires a router. If dropUnroutable is true, beats with a Dest
-// not present in outs are discarded (counted); otherwise they panic.
+// not present in outs are discarded (counted); otherwise they panic. Dest
+// keys must be non-negative: they index the router's output table.
 func NewRouter(k *sim.Kernel, in *FIFO, outs map[int]*FIFO, cycle sim.Duration, dropUnroutable bool) *Router {
-	r := &Router{k: k, in: in, outs: outs, cycle: cycle, dropNoWay: dropUnroutable}
+	n := 0
+	for d := range outs {
+		if d < 0 {
+			panic(fmt.Sprintf("axis: negative router destination %d", d))
+		}
+		n = max(n, d+1)
+	}
+	r := &Router{k: k, in: in, outs: make([]*FIFO, n), cycle: cycle, dropNoWay: dropUnroutable}
+	for d, out := range outs {
+		r.outs[d] = out
+	}
 	in.OnData(r.kick)
-	for _, out := range outs {
-		out.OnSpace(r.kick)
+	for _, out := range r.outs {
+		if out != nil {
+			out.OnSpace(r.kick)
+		}
 	}
 	return r
+}
+
+// route returns the output for Dest d, or nil when d has no route.
+func (r *Router) route(d int32) *FIFO {
+	if d < 0 || int(d) >= len(r.outs) {
+		return nil
+	}
+	return r.outs[d]
 }
 
 // Transfers returns the number of beats routed so far.
@@ -234,8 +273,8 @@ func (r *Router) kick() {
 		return
 	}
 	head, _ := r.in.Peek()
-	out, ok := r.outs[head.Dest]
-	if ok && out.Space() == 0 {
+	out := r.route(head.Dest)
+	if out != nil && out.Space() == 0 {
 		return // head-of-line blocked; out's OnSpace will kick us
 	}
 	t := r.k.Now()
@@ -255,8 +294,8 @@ func (r *Router) fire() {
 		return
 	}
 	head, _ := r.in.Peek()
-	out, ok := r.outs[head.Dest]
-	if !ok {
+	out := r.route(head.Dest)
+	if out == nil {
 		if !r.dropNoWay {
 			panic("axis: unroutable beat")
 		}

@@ -361,6 +361,9 @@ func TestLossWithoutARQLosesAccesses(t *testing.T) {
 	if completed >= n {
 		t.Fatalf("all %d accesses completed through a 30%% lossy link without ARQ", n)
 	}
+	if live := checkPacketBalance(t, tb.Pool()); live == 0 {
+		t.Fatal("gate drops left no packet live")
+	}
 }
 
 // A probe that times out must free its waiter; a late response is counted

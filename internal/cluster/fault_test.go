@@ -54,6 +54,9 @@ func TestCrashBlackHolesRequests(t *testing.T) {
 	if tb.LenderMem.Reads() != 0 {
 		t.Fatalf("crashed lender touched DRAM: %d reads", tb.LenderMem.Reads())
 	}
+	if live := checkPacketBalance(t, tb.Pool()); live == 0 {
+		t.Fatal("black-holed requests left no packet live")
+	}
 }
 
 // TestCrashLosesInFlightServes crashes the lender after a request reaches
@@ -89,6 +92,9 @@ func TestCrashLosesInFlightServes(t *testing.T) {
 	}
 	if tb.backend.Poisoned() != 0 {
 		t.Fatalf("poisoned = %d", tb.backend.Poisoned())
+	}
+	if live := checkPacketBalance(t, tb.Pool()); live == 0 {
+		t.Fatal("the lost serve left no packet live")
 	}
 }
 

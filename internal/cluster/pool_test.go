@@ -346,6 +346,11 @@ func TestPoolProbeAndCrashOverFabric(t *testing.T) {
 	if b.StaleProbeResponses() != 0 {
 		t.Fatalf("stale probe responses: %d", b.StaleProbeResponses())
 	}
+	// The probe black-holed by the crash strands its packet; nothing else
+	// may stay live.
+	if live := checkPacketBalance(t, p); live != 1 {
+		t.Fatalf("%d packets live, want the one black-holed probe", live)
+	}
 }
 
 // TestPoolHierarchyVariants drives every hierarchy flavour a pool node

@@ -29,8 +29,8 @@ func TestSwitchForwardsByPacketDst(t *testing.T) {
 	k := sim.NewKernel()
 	sw := NewSwitch(k, DefaultSwitchConfig(3))
 	mk := func(dst uint16) axis.Beat {
-		p := ocapi.Packet{Op: ocapi.OpProbe, Src: 0, Dst: dst}
-		return axis.Beat{Bytes: p.WireBytes(), Meta: p}
+		p := &ocapi.Packet{Op: ocapi.OpProbe, Src: 0, Dst: dst}
+		return axis.Beat{Bytes: int32(p.WireBytes()), Pkt: p}
 	}
 	k.At(0, func() {
 		sw.ports[0].In.Push(mk(1))
@@ -50,9 +50,9 @@ func TestSwitchDropsUnroutable(t *testing.T) {
 	k := sim.NewKernel()
 	sw := NewSwitch(k, DefaultSwitchConfig(2))
 	k.At(0, func() {
-		p := ocapi.Packet{Op: ocapi.OpProbe, Src: 0, Dst: 99}
-		sw.ports[0].In.Push(axis.Beat{Bytes: 10, Meta: p})
-		sw.ports[0].In.Push(axis.Beat{Bytes: 10, Meta: "garbage"})
+		p := &ocapi.Packet{Op: ocapi.OpProbe, Src: 0, Dst: 99}
+		sw.ports[0].In.Push(axis.Beat{Bytes: 10, Pkt: p})
+		sw.ports[0].In.Push(axis.Beat{Bytes: 10}) // no packet: unroutable
 	})
 	k.Run()
 	if sw.Dropped() != 2 {
@@ -68,8 +68,8 @@ func TestSwitchLatencyApplied(t *testing.T) {
 	var at sim.Time
 	sw.ports[1].Out.OnData(func() { at = k.Now() })
 	k.At(0, func() {
-		p := ocapi.Packet{Op: ocapi.OpProbe, Src: 0, Dst: 1}
-		sw.ports[0].In.Push(axis.Beat{Bytes: 10, Meta: p})
+		p := &ocapi.Packet{Op: ocapi.OpProbe, Src: 0, Dst: 1}
+		sw.ports[0].In.Push(axis.Beat{Bytes: 10, Pkt: p})
 	})
 	k.Run()
 	if at != sim.Time(sim.Microsecond) {
@@ -91,7 +91,7 @@ func TestSwitchForwardingZeroAlloc(t *testing.T) {
 	}
 	cycle := func() {
 		for _, p := range pkts {
-			sw.ports[0].In.Push(axis.Beat{Bytes: p.WireBytes(), Meta: p})
+			sw.ports[0].In.Push(axis.Beat{Bytes: int32(p.WireBytes()), Pkt: p})
 		}
 		k.Run()
 		for _, o := range []int{1, 2} {
@@ -123,8 +123,8 @@ func TestSwitchBlockedInputResumesOnCredit(t *testing.T) {
 	var feed func()
 	feed = func() {
 		for sent < beats && sw.ports[0].In.Space() > 0 {
-			p := ocapi.Packet{Op: ocapi.OpProbe, Src: 0, Dst: 1, Tag: uint32(sent)}
-			sw.ports[0].In.Push(axis.Beat{Bytes: 10, Meta: p})
+			p := &ocapi.Packet{Op: ocapi.OpProbe, Src: 0, Dst: 1, Tag: uint32(sent)}
+			sw.ports[0].In.Push(axis.Beat{Bytes: 10, Pkt: p})
 			sent++
 		}
 		if sent < beats {
@@ -138,7 +138,7 @@ func TestSwitchBlockedInputResumesOnCredit(t *testing.T) {
 	var drain func()
 	drain = func() {
 		if b, ok := sw.ports[1].Out.Pop(); ok {
-			got = append(got, b.Meta.(ocapi.Packet).Tag)
+			got = append(got, b.Pkt.Tag)
 		}
 		if len(got) < beats {
 			k.After(10*sim.Microsecond, drain)

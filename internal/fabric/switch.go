@@ -12,7 +12,6 @@ import (
 	"thymesim/internal/axis"
 	"thymesim/internal/metricsplane"
 	"thymesim/internal/netlink"
-	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
 )
 
@@ -74,7 +73,7 @@ type Port struct {
 }
 
 // Switch is an output-queued crossbar. Beats are routed by the node id in
-// their ocapi.Packet metadata: attach each node's NIC to the port matching
+// their packet's Dst: attach each node's NIC to the port matching
 // its id (port i serves node i).
 type Switch struct {
 	k     *sim.Kernel
@@ -225,18 +224,13 @@ func (s *Switch) forwardLoop(port int, in *axis.FIFO, outs []*axis.FIFO) {
 	in.OnData(kick)
 }
 
-// dstOf extracts the destination port from a beat's packet metadata. The
-// pooled datapath carries *ocapi.Packet; value packets (tests, legacy
-// producers) are still understood.
+// dstOf extracts the destination port from a beat's packet; a beat with
+// no packet is unroutable (-1).
 func (s *Switch) dstOf(b axis.Beat) int {
-	switch p := b.Meta.(type) {
-	case *ocapi.Packet:
-		return int(p.Dst)
-	case ocapi.Packet:
-		return int(p.Dst)
-	default:
+	if b.Pkt == nil {
 		return -1
 	}
+	return int(b.Pkt.Dst)
 }
 
 // Forwarded returns the number of beats switched.

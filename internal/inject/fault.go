@@ -82,7 +82,7 @@ func (g *BitErrorGate) Fault(t sim.Time, b axis.Beat) axis.FaultAction {
 	if in == axis.FaultDrop {
 		return in
 	}
-	bits := float64(8 * b.Bytes)
+	bits := 8 * float64(b.Bytes)
 	pCorrupt := 1 - math.Pow(1-g.ber, bits)
 	if g.rng.Float64() < pCorrupt {
 		g.corrupted++

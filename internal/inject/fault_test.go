@@ -7,7 +7,7 @@ import (
 	"thymesim/internal/sim"
 )
 
-func beat(bytes int) axis.Beat { return axis.Beat{Bytes: bytes} }
+func beat(bytes int) axis.Beat { return axis.Beat{Bytes: int32(bytes)} }
 
 func TestBitErrorGateCorruptionRate(t *testing.T) {
 	// BER 1e-4 over 46-byte beats (368 bits): p ~= 1-(1-1e-4)^368 ~= 0.0361.

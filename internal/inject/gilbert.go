@@ -152,7 +152,7 @@ func (g *GilbertElliottGate) Fault(t sim.Time, b axis.Beat) axis.FaultAction {
 		ber = g.cfg.BERBad
 	}
 	if ber > 0 {
-		bits := float64(8 * b.Bytes)
+		bits := 8 * float64(b.Bytes)
 		if g.rng.Float64() < 1-math.Pow(1-ber, bits) {
 			g.corrupted++
 			return axis.FaultCorrupt

@@ -123,7 +123,7 @@ func TestPeriodGateThroughputThroughPump(t *testing.T) {
 	const n = 100
 	k.At(0, func() {
 		for i := 0; i < n; i++ {
-			in.Push(axis.Beat{Dest: i})
+			in.Push(axis.Beat{Dest: int32(i)})
 		}
 	})
 	end := k.Run()

@@ -57,9 +57,10 @@ type RemoteBackend struct {
 	src, dst    uint16
 	prio        uint8
 
-	// pending maps outstanding tags to their transaction contexts; sendQ
-	// holds contexts waiting for a tag or for NIC command-queue space.
-	pending map[uint32]*rtxn
+	// pending holds each outstanding tag's transaction context at index
+	// tag-tagBase (nil when the tag is free); sendQ holds contexts waiting
+	// for a tag or for NIC command-queue space.
+	pending []*rtxn
 	sendQ   []*rtxn
 	// free recycles transaction contexts so steady-state issues allocate
 	// nothing.
@@ -256,7 +257,7 @@ func NewRemoteBackendTags(k *sim.Kernel, nic Sender, tagBase uint32, tagSpace in
 		portLatency: portLatency,
 		src:         src,
 		dst:         dst,
-		pending:     make(map[uint32]*rtxn),
+		pending:     make([]*rtxn, tagSpace),
 	}
 	nic.OnCmdSpace(b.pump)
 	return b
@@ -301,11 +302,16 @@ func (b *RemoteBackend) Priority() uint8 { return b.prio }
 // Owns reports whether a response tag belongs to this backend's range and
 // is outstanding.
 func (b *RemoteBackend) Owns(tag uint32) bool {
-	if tag < b.tagBase || tag >= b.tagBase+b.tagCount {
-		return false
+	return b.lookup(tag) != nil
+}
+
+// lookup returns the transaction outstanding under tag, or nil when the
+// tag is outside this backend's range or not outstanding.
+func (b *RemoteBackend) lookup(tag uint32) *rtxn {
+	if tag < b.tagBase || tag-b.tagBase >= b.tagCount {
+		return nil
 	}
-	_, ok := b.pending[tag]
-	return ok
+	return b.pending[tag-b.tagBase]
 }
 
 // Reads returns completed line reads.
@@ -399,7 +405,7 @@ func (b *RemoteBackend) pump() {
 		copy(b.sendQ, b.sendQ[1:])
 		b.sendQ[len(b.sendQ)-1] = nil
 		b.sendQ = b.sendQ[:len(b.sendQ)-1]
-		b.pending[tag] = t
+		b.pending[raw] = t
 	}
 }
 
@@ -408,11 +414,11 @@ func (b *RemoteBackend) tagsRelease(tag uint32) { b.tags.Release(tag - b.tagBase
 
 // Deliver completes a response from the NIC; wire it to NIC.OnDeliver.
 func (b *RemoteBackend) Deliver(p ocapi.Packet) {
-	t, ok := b.pending[p.Tag]
-	if !ok {
+	t := b.lookup(p.Tag)
+	if t == nil {
 		panic("memport: response for unknown tag")
 	}
-	delete(b.pending, p.Tag)
+	b.pending[p.Tag-b.tagBase] = nil
 	// Delivery beats any armed deadline: the response reached the port, so
 	// expiry is moot from here on.
 	b.k.CancelTimer(t.dl)

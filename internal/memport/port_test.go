@@ -270,6 +270,59 @@ func TestRemoteBackendUnknownTagPanics(t *testing.T) {
 	b.Deliver(ocapi.Packet{Op: ocapi.OpReadResp, Tag: 7, Size: ocapi.CacheLineSize})
 }
 
+// TestRemoteBackendTagRangePanics pins the dense pending table's bounds:
+// with tags [8, 12), a response tagged just below, just above or far
+// outside the range, or for an in-range tag not outstanding, panics as an
+// unknown tag instead of indexing another slot.
+func TestRemoteBackendTagRangePanics(t *testing.T) {
+	for _, tag := range []uint32{0, 7, 9, 12, 1 << 31, ^uint32(0)} {
+		k := sim.NewKernel()
+		fs := &fakeSender{space: 4}
+		b := NewRemoteBackendTags(k, fs, 8, 4, 0, 0, 1)
+		k.At(0, func() { readLine(b, 0, nil) })
+		k.Run()
+		if len(fs.sent) != 1 || fs.sent[0].Tag != 8 {
+			t.Fatalf("sent %+v, want one request tagged 8", fs.sent)
+		}
+		if b.Owns(tag) {
+			t.Errorf("Owns(%d) = true; only tag 8 is outstanding", tag)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "memport: response for unknown tag" {
+					t.Errorf("response tagged %d: recovered %v, want the unknown-tag panic", tag, r)
+				}
+			}()
+			b.Deliver(ocapi.Packet{Op: ocapi.OpReadResp, Tag: tag, Size: ocapi.CacheLineSize})
+		}()
+	}
+}
+
+// TestRemoteBackendDuplicateDeliveryPanics checks that a second response
+// for a tag already delivered is rejected: the first delivery clears the
+// tag's pending slot.
+func TestRemoteBackendDuplicateDeliveryPanics(t *testing.T) {
+	k := sim.NewKernel()
+	fs := &fakeSender{space: 4}
+	b := NewRemoteBackendTags(k, fs, 8, 4, 0, 0, 1)
+	k.At(0, func() { readLine(b, 0, nil) })
+	k.Run()
+	resp := fs.sent[0].Response()
+	if !b.Owns(resp.Tag) {
+		t.Fatalf("tag %d not owned while outstanding", resp.Tag)
+	}
+	b.Deliver(resp)
+	if b.Owns(resp.Tag) {
+		t.Fatalf("tag %d still owned after delivery", resp.Tag)
+	}
+	defer func() {
+		if r := recover(); r != "memport: response for unknown tag" {
+			t.Errorf("duplicate delivery: recovered %v, want the unknown-tag panic", r)
+		}
+	}()
+	b.Deliver(resp)
+}
+
 func TestRemoteBackendAddressAlignment(t *testing.T) {
 	k := sim.NewKernel()
 	fs := &fakeSender{space: 10}

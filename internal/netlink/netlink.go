@@ -127,7 +127,7 @@ func (c *Channel) kick() {
 	b, _ := c.tx.Pop()
 	c.armed = true
 	c.inflight++
-	ser := c.SerializationTime(b.Bytes)
+	ser := c.SerializationTime(int(b.Bytes))
 	f := c.free
 	if f == nil {
 		f = &wireFlight{c: c}

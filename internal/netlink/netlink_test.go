@@ -55,7 +55,7 @@ func TestChannelBackpressure(t *testing.T) {
 	NewChannel(k, tx, rx, 1e12, 0)
 	k.At(0, func() {
 		for i := 0; i < 6; i++ {
-			tx.Push(axis.Beat{Bytes: 100, Dest: i})
+			tx.Push(axis.Beat{Bytes: 100, Dest: int32(i)})
 		}
 	})
 	k.Run()

@@ -249,10 +249,12 @@ func (p *Packet) NackInPlace() {
 // single-threaded like everything else attached to a kernel.
 type PacketPool struct {
 	free []*Packet
+	live int // Get calls minus non-nil Put calls
 }
 
 // Get returns a zeroed *Packet, reusing a freed one when available.
 func (pp *PacketPool) Get() *Packet {
+	pp.live++
 	if n := len(pp.free); n > 0 {
 		p := pp.free[n-1]
 		pp.free[n-1] = nil
@@ -269,8 +271,13 @@ func (pp *PacketPool) Put(p *Packet) {
 	if p == nil {
 		return
 	}
+	pp.live--
 	pp.free = append(pp.free, p)
 }
+
+// Live returns the packets handed out and not yet put back: those still
+// in flight plus any lost on the way and left to the GC.
+func (pp *PacketPool) Live() int { return pp.live }
 
 // encodedLen is the fixed marshalled header length (payload is size-only):
 // op, tag, addr, size, src, dst, issued, prio, seq, flags.
@@ -331,10 +338,11 @@ func (p *Packet) UnmarshalBinary(buf []byte) error {
 }
 
 // TagAllocator hands out transaction tags from a bounded space, mirroring
-// the AFU tag pool that bounds outstanding OpenCAPI commands.
+// the AFU tag pool that bounds outstanding OpenCAPI commands. Tags index a
+// dense outstanding table, so allocation and release touch no map.
 type TagAllocator struct {
 	free []uint32
-	out  map[uint32]bool
+	out  []bool // out[t]: tag t is allocated
 }
 
 // NewTagAllocator returns an allocator with n tags (0..n-1).
@@ -342,7 +350,7 @@ func NewTagAllocator(n int) *TagAllocator {
 	if n <= 0 {
 		panic("ocapi: tag space must be positive")
 	}
-	a := &TagAllocator{out: make(map[uint32]bool, n)}
+	a := &TagAllocator{free: make([]uint32, 0, n), out: make([]bool, n)}
 	for i := n - 1; i >= 0; i-- {
 		a.free = append(a.free, uint32(i))
 	}
@@ -363,15 +371,15 @@ func (a *TagAllocator) Alloc() (uint32, bool) {
 // Release returns a tag; releasing a tag not outstanding panics (protocol
 // corruption).
 func (a *TagAllocator) Release(tag uint32) {
-	if !a.out[tag] {
+	if uint64(tag) >= uint64(len(a.out)) || !a.out[tag] {
 		panic(fmt.Sprintf("ocapi: release of non-outstanding tag %d", tag))
 	}
-	delete(a.out, tag)
+	a.out[tag] = false
 	a.free = append(a.free, tag)
 }
 
 // Outstanding returns the number of tags in flight.
-func (a *TagAllocator) Outstanding() int { return len(a.out) }
+func (a *TagAllocator) Outstanding() int { return len(a.out) - len(a.free) }
 
 // LineAlign rounds addr down to a cache-line boundary.
 func LineAlign(addr uint64) uint64 { return addr &^ uint64(CacheLineSize-1) }

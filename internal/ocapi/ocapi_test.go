@@ -1,6 +1,7 @@
 package ocapi
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -159,6 +160,32 @@ func TestTagAllocatorDoubleReleasePanics(t *testing.T) {
 		}
 	}()
 	a.Release(tag)
+}
+
+// TestTagAllocatorReleaseUnallocatedPanics pins the dense table's bounds:
+// releasing a tag that was never allocated, or one outside the tag space,
+// is protocol corruption and must panic, not index out of range silently.
+func TestTagAllocatorReleaseUnallocatedPanics(t *testing.T) {
+	for _, tag := range []uint32{0, 1, 2, 3, 1 << 31, ^uint32(0)} {
+		a := NewTagAllocator(3)
+		held, _ := a.Alloc() // tag 0; the rest of the space stays free
+		func() {
+			defer func() {
+				r := recover()
+				if tag == held {
+					if r != nil {
+						t.Errorf("release of held tag %d panicked: %v", tag, r)
+					}
+					return
+				}
+				msg, _ := r.(string)
+				if !strings.Contains(msg, "non-outstanding tag") {
+					t.Errorf("release of tag %d: recovered %v, want non-outstanding panic", tag, r)
+				}
+			}()
+			a.Release(tag)
+		}()
+	}
 }
 
 func TestLineHelpers(t *testing.T) {
@@ -333,6 +360,31 @@ func TestPacketPoolRecycleZeroes(t *testing.T) {
 	pool.Put(q)
 	if r := pool.Get(); r != q {
 		t.Fatal("pool lost the packet after nil Put")
+	}
+}
+
+// TestPacketPoolLive checks the pool's live count: every Get counts one
+// packet out, every non-nil Put one back, and a packet never put back
+// stays counted.
+func TestPacketPoolLive(t *testing.T) {
+	var pool PacketPool
+	a, b := pool.Get(), pool.Get()
+	if pool.Live() != 2 {
+		t.Fatalf("live = %d after two Gets, want 2", pool.Live())
+	}
+	pool.Put(a)
+	pool.Put(nil)
+	if pool.Live() != 1 {
+		t.Fatalf("live = %d after one Put, want 1", pool.Live())
+	}
+	c := pool.Get() // reuses a
+	pool.Put(c)
+	if pool.Live() != 1 {
+		t.Fatalf("live = %d with b lost, want 1", pool.Live())
+	}
+	pool.Put(b)
+	if pool.Live() != 0 {
+		t.Fatalf("live = %d after draining, want 0", pool.Live())
 	}
 }
 

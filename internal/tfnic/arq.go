@@ -91,8 +91,8 @@ type arqTxn struct {
 // belongs to the live attempt — no generation bookkeeping per site.
 func (a *ARQ) Handle(arg uint64) {
 	tag := uint32(arg)
-	t, ok := a.txns[tag]
-	if !ok {
+	t := a.txn(tag)
+	if t == nil {
 		return // unreachable: resolution cancels the deadline
 	}
 	a.stats.Timeouts++
@@ -111,7 +111,12 @@ type ARQ struct {
 	cfg ARQConfig
 	rng *sim.Rand
 
-	txns map[uint32]*arqTxn
+	// txns holds each tracked transaction at its tag's index (nil when the
+	// tag is not tracked). It grows on demand to the highest tag sent, so
+	// a lookup is one bounds check and one load; live counts the non-nil
+	// entries.
+	txns []*arqTxn
+	live int
 	// freeTxns recycles transaction entries so a warmed-up ARQ layer
 	// tracks and times out without allocating. Timeout deadlines live on
 	// the kernel's timer wheel (ArmTimer/CancelTimer), which supplies the
@@ -145,11 +150,10 @@ func NewARQ(k *sim.Kernel, nic arqLink, cfg ARQConfig) *ARQ {
 		panic(err)
 	}
 	a := &ARQ{
-		k:    k,
-		nic:  nic,
-		cfg:  cfg,
-		rng:  sim.NewRand(cfg.Seed),
-		txns: make(map[uint32]*arqTxn),
+		k:   k,
+		nic: nic,
+		cfg: cfg,
+		rng: sim.NewRand(cfg.Seed),
 	}
 	nic.OnCmdSpace(a.drainRetries)
 	return a
@@ -163,7 +167,30 @@ func (a *ARQ) SetMetrics(m *metricsplane.ARQMetrics) { a.mx = m }
 func (a *ARQ) Stats() ARQStats { return a.stats }
 
 // Outstanding returns tracked transactions awaiting resolution.
-func (a *ARQ) Outstanding() int { return len(a.txns) }
+func (a *ARQ) Outstanding() int { return a.live }
+
+// txn returns the transaction tracked under tag, or nil.
+func (a *ARQ) txn(tag uint32) *arqTxn {
+	if uint64(tag) >= uint64(len(a.txns)) {
+		return nil
+	}
+	return a.txns[tag]
+}
+
+// track records t under tag, growing the table to cover it.
+func (a *ARQ) track(tag uint32, t *arqTxn) {
+	if n := int(tag) + 1; n > len(a.txns) {
+		a.txns = append(a.txns, make([]*arqTxn, n-len(a.txns))...)
+	}
+	a.txns[tag] = t
+	a.live++
+}
+
+// untrack forgets the transaction tracked under tag.
+func (a *ARQ) untrack(tag uint32) {
+	a.txns[tag] = nil
+	a.live--
+}
 
 // QueuedRetries returns retransmissions waiting for NIC space.
 func (a *ARQ) QueuedRetries() int { return len(a.retryQ) }
@@ -177,7 +204,7 @@ func (a *ARQ) TrySend(p ocapi.Packet) bool {
 	if len(a.retryQ) > 0 && a.nic.CmdSpace() <= len(a.retryQ) {
 		return false // leave the remaining space to pending retransmissions
 	}
-	if _, dup := a.txns[p.Tag]; dup {
+	if a.txn(p.Tag) != nil {
 		panic(fmt.Sprintf("tfnic: ARQ send with live tag %d", p.Tag))
 	}
 	p.Seq = 0
@@ -193,7 +220,7 @@ func (a *ARQ) TrySend(p ocapi.Packet) bool {
 	}
 	t.pkt = p
 	t.attempts = 1
-	a.txns[p.Tag] = t
+	a.track(p.Tag, t)
 	a.stats.Tracked++
 	a.mx.Tracked()
 	a.armTimeout(p.Tag, t)
@@ -222,8 +249,8 @@ func (a *ARQ) OnResponse(p ocapi.Packet) {
 		a.deliver(p)
 		return
 	}
-	t, ok := a.txns[p.Tag]
-	if !ok {
+	t := a.txn(p.Tag)
+	if t == nil {
 		a.stats.StaleDrops++ // duplicate after resolution, or never ours
 		a.mx.StaleDrop()
 		return
@@ -246,7 +273,7 @@ func (a *ARQ) OnResponse(p ocapi.Packet) {
 		a.k.CancelTimer(t.timer) // the nack supersedes the attempt's timeout
 		a.retryOrDie(p.Tag, t)
 	default:
-		delete(a.txns, p.Tag)
+		a.untrack(p.Tag)
 		a.recycle(t)
 		a.stats.Completed++
 		a.mx.Completed()
@@ -293,7 +320,7 @@ func (a *ARQ) timeoutFor(attempt int) sim.Duration {
 // it with a poisoned completion.
 func (a *ARQ) retryOrDie(tag uint32, t *arqTxn) {
 	if t.attempts > a.cfg.MaxRetries {
-		delete(a.txns, tag)
+		a.untrack(tag)
 		a.stats.Dead++
 		a.mx.Dead(uint64(t.pkt.Seq), a.k.Now().Micros())
 		r := t.pkt.Response()
@@ -318,8 +345,8 @@ func (a *ARQ) retryOrDie(tag uint32, t *arqTxn) {
 func (a *ARQ) drainRetries() {
 	for len(a.retryQ) > 0 {
 		p := a.retryQ[0]
-		t, ok := a.txns[p.Tag]
-		if !ok || uint16(t.attempts-1) != p.Seq {
+		t := a.txn(p.Tag)
+		if t == nil || uint16(t.attempts-1) != p.Seq {
 			a.retryQ = a.retryQ[1:] // resolved or superseded while queued
 			continue
 		}

@@ -13,6 +13,8 @@ import (
 // script, the accounting invariants must hold once the kernel drains:
 // every tracked transaction resolves exactly once (completed or dead),
 // nothing stays outstanding, and completions only fire for live tags.
+// After every action the ARQ's outstanding count must equal the mirror's
+// live set, and every mirrored tag must be tracked.
 func FuzzARQResponseStream(f *testing.F) {
 	// Seed corpus: each byte is one action (see the switch below).
 	f.Add([]byte{0, 8, 1, 9, 1})              // two sends, two responses
@@ -59,8 +61,8 @@ func FuzzARQResponseStream(f *testing.F) {
 		// respond builds a response to tag's current live attempt, with the
 		// sequence number offset by dSeq (0 = genuine).
 		respond := func(tag uint32, dSeq uint16, nack, corrupt bool) {
-			tx, ok := a.txns[tag]
-			if !ok {
+			tx := a.txn(tag)
+			if tx == nil {
 				return
 			}
 			p := tx.pkt
@@ -72,6 +74,19 @@ func FuzzARQResponseStream(f *testing.F) {
 			}
 			p.Corrupt = corrupt
 			a.OnResponse(p)
+		}
+
+		// checkLive compares the ARQ's tracked set with the mirror.
+		checkLive := func(step int) {
+			if a.Outstanding() != len(live) {
+				t.Fatalf("step %d: Outstanding() = %d, mirror has %d live tags",
+					step, a.Outstanding(), len(live))
+			}
+			for tag := range live {
+				if a.txn(tag) == nil {
+					t.Fatalf("step %d: live tag %d is not tracked", step, tag)
+				}
+			}
 		}
 
 		// One action per byte, at strictly increasing instants so ARQ
@@ -115,6 +130,7 @@ func FuzzARQResponseStream(f *testing.F) {
 						respond(tag, 0x8000, false, false)
 					}
 				}
+				checkLive(i)
 			})
 		}
 		// After the script, open the floodgates so queued retransmissions

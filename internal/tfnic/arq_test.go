@@ -360,7 +360,7 @@ func TestARQRecycledTxnImmuneToStaleTimer(t *testing.T) {
 		if !a.TrySend(readReq(1)) {
 			t.Fatal("reissue refused")
 		}
-		if a.txns[1] != recycled {
+		if a.txn(1) != recycled {
 			t.Fatal("reissue did not pop the recycled entry")
 		}
 	})

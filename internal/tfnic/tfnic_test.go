@@ -257,7 +257,7 @@ func TestNICResponsesBypassInjector(t *testing.T) {
 	// Push a request directly into the lender's RxQ, as if off the wire.
 	k.At(0, func() {
 		p := &ocapi.Packet{Op: ocapi.OpReadBlock, Tag: 3, Addr: 0, Size: ocapi.CacheLineSize, Src: 0, Dst: 1}
-		l.RxQ.Push(axis.Beat{Bytes: p.WireBytes(), Dest: 0, Meta: p})
+		l.RxQ.Push(axis.Beat{Bytes: int32(p.WireBytes()), Dest: 0, Pkt: p})
 	})
 	end := k.RunUntil(sim.Time(10 * sim.Microsecond))
 	if l.TxQ.Len() != 1 {
@@ -347,8 +347,7 @@ func TestTrySendRoutesByWindowLender(t *testing.T) {
 		if !ok {
 			break
 		}
-		p := b.Meta.(*ocapi.Packet)
-		got = append(got, int(p.Dst))
+		got = append(got, int(b.Pkt.Dst))
 	}
 	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
 		t.Fatalf("egress destinations = %v, want [3 7]", got)
@@ -362,7 +361,7 @@ func TestTrySendRoutesByWindowLender(t *testing.T) {
 	if !ok {
 		t.Fatal("untranslated request did not egress")
 	}
-	if p := b.Meta.(*ocapi.Packet); p.Dst != 1 {
+	if p := b.Pkt; p.Dst != 1 {
 		t.Fatalf("untranslated request rerouted to %d", p.Dst)
 	}
 	if n.Stats().TranslationFaults != 1 {
