@@ -29,12 +29,14 @@ bench-test:
 
 # Fuzz each target for FUZZTIME (10s by default) on top of its seed
 # corpus: a short per-change exploration of the kernel's event order, the
-# trace reader, the allocator and the ARQ's dense transaction table.
+# trace reader, the allocator, the ARQ's dense transaction table and the
+# axis FIFO ring.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzKernelOrder:./internal/sim \
 	FuzzTraceReader:./internal/trace \
 	FuzzAllocatorOps:./internal/pool \
-	FuzzARQResponseStream:./internal/tfnic
+	FuzzARQResponseStream:./internal/tfnic \
+	FuzzFIFO:./internal/axis
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -114,7 +114,6 @@ func main() {
 		plane.SweepPlanned(planned)
 	}
 
-	rep := &core.Report{Options: opts}
 	run := func(name string, fn func()) {
 		fmt.Fprintf(os.Stderr, "running %s...\n", name)
 		plane.SetPhase(name)
@@ -135,6 +134,67 @@ func main() {
 		log.Fatal(err)
 	}
 
+	rep, err := runExperiments(opts, want, run, *traceSamp)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	stopCPU()
+	if err := stopMutex(); err != nil {
+		log.Fatal(err)
+	}
+	if err := stopBlock(); err != nil {
+		log.Fatal(err)
+	}
+	if err := prof.WriteHeap(*memProfile); err != nil {
+		log.Fatal(err)
+	}
+
+	if err := rep.Render(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+	if *trace != "" {
+		f, err := os.Create(*trace)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := rep.Breakdown.Tracer.WriteChromeTrace(f); err != nil {
+			f.Close()
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "Chrome trace written to %s\n", *trace)
+	}
+	if *outDir != "" {
+		if err := rep.WriteCSVDir(*outDir); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "CSV written to %s\n", *outDir)
+	}
+	if *metricsOut != "" {
+		f, err := os.Create(*metricsOut)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := metricsplane.WritePrometheus(f, plane.Snapshot()); err != nil {
+			f.Close()
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "metrics snapshot written to %s\n", *metricsOut)
+	}
+}
+
+// runExperiments runs every experiment want selects, in core.Experiments
+// order, handing each to run (which announces and times it), and returns
+// their report. traceSample is the breakdown sweep's tracing stride.
+func runExperiments(opts core.Options, want func(string) bool, run func(name string, fn func()), traceSample int) (*core.Report, error) {
+	rep := &core.Report{Options: opts}
+	var err error
 	if want("validation") {
 		run("delay validation (Figs. 2-3)", func() { rep.Validation = opts.RunDelayValidation(core.DefaultPeriods()) })
 	}
@@ -190,74 +250,24 @@ func main() {
 		run("scheduled chaos campaign (lender fault domains)", func() {
 			scfg := core.DefaultChaosScheduleConfig()
 			scfg.Seed = opts.Seed
-			var err error
 			rep.Schedule, err = opts.RunChaosSchedule(scfg)
-			if err != nil {
-				log.Fatal(err)
-			}
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	if want("breaker-recovery") {
 		run("breaker recovery sweep (outage length vs re-close time)", func() {
-			br, err := opts.RunBreakerRecovery()
-			if err != nil {
-				log.Fatal(err)
-			}
-			rep.BreakerRec = br
+			rep.BreakerRec, err = opts.RunBreakerRecovery()
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	if want("breakdown") {
 		run("per-stage latency breakdown (Table I decomposition)", func() {
-			rep.Breakdown = opts.RunLatencyBreakdown(core.DefaultPeriods(), *traceSamp)
+			rep.Breakdown = opts.RunLatencyBreakdown(core.DefaultPeriods(), traceSample)
 		})
 	}
-
-	stopCPU()
-	if err := stopMutex(); err != nil {
-		log.Fatal(err)
-	}
-	if err := stopBlock(); err != nil {
-		log.Fatal(err)
-	}
-	if err := prof.WriteHeap(*memProfile); err != nil {
-		log.Fatal(err)
-	}
-
-	if err := rep.Render(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rep.Breakdown.Tracer.WriteChromeTrace(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "Chrome trace written to %s\n", *trace)
-	}
-	if *outDir != "" {
-		if err := rep.WriteCSVDir(*outDir); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "CSV written to %s\n", *outDir)
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := metricsplane.WritePrometheus(f, plane.Snapshot()); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "metrics snapshot written to %s\n", *metricsOut)
-	}
+	return rep, nil
 }

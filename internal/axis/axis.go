@@ -124,7 +124,17 @@ func (f *FIFO) TryPush(b Beat) bool {
 	if f.count == len(f.buf) {
 		f.grow()
 	}
-	f.buf[(f.head+f.count)%len(f.buf)] = b
+	i := f.head + f.count
+	if i >= len(f.buf) {
+		i -= len(f.buf)
+	}
+	// Field by field, like Pop and Peek read it back: a whole-struct store
+	// reloads the spilled beat in 16-byte halves over 8-byte stores, a
+	// store-forwarding stall on every hop, and a mixed width on either
+	// side of the ring only moves that stall to the other side.
+	d := &f.buf[i]
+	d.Born, d.Pkt, d.Bytes, d.Dest, d.Flow, d.Last, d.Corrupt =
+		b.Born, b.Pkt, b.Bytes, b.Dest, b.Flow, b.Last, b.Corrupt
 	f.count++
 	f.pushed++
 	f.bytes += uint64(b.Bytes)
@@ -166,7 +176,8 @@ func (f *FIFO) Peek() (Beat, bool) {
 	if f.count == 0 {
 		return Beat{}, false
 	}
-	return f.buf[f.head], true
+	s := &f.buf[f.head]
+	return Beat{Born: s.Born, Pkt: s.Pkt, Bytes: s.Bytes, Dest: s.Dest, Flow: s.Flow, Last: s.Last, Corrupt: s.Corrupt}, true
 }
 
 // Pop removes and returns the head beat; ok is false when empty.
@@ -174,15 +185,22 @@ func (f *FIFO) Pop() (Beat, bool) {
 	if f.count == 0 {
 		return Beat{}, false
 	}
-	b := f.buf[f.head]
-	f.buf[f.head] = Beat{}
-	f.head = (f.head + 1) % len(f.buf)
+	// The fields are read into locals, each at the width TryPush stored
+	// it, and the beat is assembled only at the return: a Beat held
+	// across the callbacks below would be copied whole, in 16-byte
+	// halves, over its field-wise stores.
+	s := &f.buf[f.head]
+	born, pkt, bytes, dest, flow, last, corrupt := s.Born, s.Pkt, s.Bytes, s.Dest, s.Flow, s.Last, s.Corrupt
+	s.Pkt = nil // release the packet for GC
+	if f.head++; f.head == len(f.buf) {
+		f.head = 0
+	}
 	f.count--
 	f.popped++
 	for _, fn := range f.onSpace {
 		fn()
 	}
-	return b, true
+	return Beat{Born: born, Pkt: pkt, Bytes: bytes, Dest: dest, Flow: flow, Last: last, Corrupt: corrupt}, true
 }
 
 // Gate restricts the instants at which a Pump may perform a transfer. Next

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
 )
 
@@ -51,17 +52,39 @@ func TestFIFOBasics(t *testing.T) {
 	}
 }
 
+// TestFIFOWrapAround drives rings whose lengths are not powers of two
+// through many wraps: every beat must come back whole and in order.
 func TestFIFOWrapAround(t *testing.T) {
-	f := NewFIFO("q", 3)
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 3; i++ {
-			f.Push(Beat{Dest: int32(round*10 + i)})
-		}
-		for i := 0; i < 3; i++ {
-			b, ok := f.Pop()
-			if !ok || int(b.Dest) != round*10+i {
-				t.Fatalf("round %d item %d: got %v", round, i, b.Dest)
+	pkts := make([]ocapi.Packet, 7)
+	for _, capacity := range []int{1, 3, 5, 100} {
+		f := NewFIFO("q", capacity)
+		var ref []Beat
+		var pushed, popped, bytes uint64
+		next := 0
+		// Burst sizes step through every fill level, so head and tail
+		// cross the ring's end at every offset.
+		for round := 0; round < 4*capacity+8; round++ {
+			for n := round%capacity + 1; n > 0 && f.Space() > 0; n-- {
+				b := seqBeat(next, pkts)
+				next++
+				f.Push(b)
+				ref = append(ref, b)
+				pushed++
+				bytes += uint64(b.Bytes)
 			}
+			checkFIFO(t, f, ref, pushed, popped, bytes)
+			for n := (round*7)%capacity + 1; n > 0 && len(ref) > 0; n-- {
+				b, ok := f.Pop()
+				if !ok || b != ref[0] {
+					t.Fatalf("cap %d round %d: Pop() = %+v, %v, want %+v", capacity, round, b, ok, ref[0])
+				}
+				ref = ref[1:]
+				popped++
+			}
+			checkFIFO(t, f, ref, pushed, popped, bytes)
+		}
+		if len(f.buf) != capacity {
+			t.Fatalf("cap %d: ring is %d long", capacity, len(f.buf))
 		}
 	}
 }

@@ -15,6 +15,7 @@ type PriorityMux struct {
 	out       *FIFO
 	cycle     sim.Duration
 	gate      Gate
+	faulter   Faulter // gate's fault model, nil when it has none
 	busyUntil sim.Time
 	armed     bool
 
@@ -33,6 +34,7 @@ func NewPriorityMux(k *sim.Kernel, ins []*FIFO, out *FIFO, cycle sim.Duration, g
 		gate = PassGate{}
 	}
 	m := &PriorityMux{k: k, ins: ins, out: out, cycle: cycle, gate: gate, perClass: make([]uint64, len(ins))}
+	m.faulter, _ = gate.(Faulter)
 	for _, in := range ins {
 		in.OnData(m.kick)
 	}
@@ -96,8 +98,8 @@ func (m *PriorityMux) fire() {
 		m.busyUntil = now.Add(m.cycle)
 		m.transfers++
 		m.perClass[class]++
-		if f, ok := m.gate.(Faulter); ok {
-			switch f.Fault(now, b) {
+		if m.faulter != nil {
+			switch m.faulter.Fault(now, b) {
 			case FaultDrop:
 				m.dropped++
 				m.kick()

@@ -15,6 +15,7 @@ type Pump struct {
 	in, out   *FIFO
 	cycle     sim.Duration
 	gate      Gate
+	faulter   Faulter // gate's fault model, nil when it has none
 	busyUntil sim.Time
 	armed     bool
 
@@ -37,6 +38,7 @@ func NewPump(k *sim.Kernel, in, out *FIFO, cycle sim.Duration, gate Gate) *Pump 
 		gate = PassGate{}
 	}
 	p := &Pump{k: k, in: in, out: out, cycle: cycle, gate: gate}
+	p.faulter, _ = gate.(Faulter)
 	in.OnData(p.kick)
 	out.OnSpace(p.kick)
 	return p
@@ -90,8 +92,8 @@ func (p *Pump) fire() {
 	p.gate.Commit(now)
 	p.busyUntil = now.Add(p.cycle)
 	p.transfers++
-	if f, ok := p.gate.(Faulter); ok {
-		switch f.Fault(now, b) {
+	if p.faulter != nil {
+		switch p.faulter.Fault(now, b) {
 		case FaultDrop:
 			p.dropped++
 			p.kick()
@@ -198,8 +200,11 @@ func (m *Mux) fire() {
 	}
 	// Round-robin: start after the last-served input.
 	n := len(m.ins)
-	for i := 1; i <= n; i++ {
-		idx := (m.rr + i) % n
+	idx := m.rr
+	for i := 0; i < n; i++ {
+		if idx++; idx == n {
+			idx = 0
+		}
 		if m.ins[idx].Len() > 0 {
 			b, _ := m.ins[idx].Pop()
 			m.rr = idx

@@ -35,9 +35,23 @@ func checkPacketBalance(t *testing.T, p *Pool) int {
 	return live
 }
 
+// checkKernelDrained asserts that a drained kernel's slot table parks no
+// callee: QueueStats counts the slots still referencing a handler, so
+// zero means every heap event released its handler when it fired.
+func checkKernelDrained(t *testing.T, k *sim.Kernel) {
+	t.Helper()
+	if n := k.Pending(); n != 0 {
+		t.Fatalf("%d events still pending after Run", n)
+	}
+	if qs := k.QueueStats(); qs.Parked != 0 {
+		t.Errorf("drained kernel parks %d handlers in its slot table (%+v)", qs.Parked, qs)
+	}
+}
+
 // TestPacketsLiveZeroAfterDrainedTestbed runs reads, writebacks and a
 // probe through a fault-free two-node testbed with ARQ: once the kernel
-// drains, every wire packet is back in its pool.
+// drains, every wire packet is back in its pool and no kernel slot holds
+// a handler.
 func TestPacketsLiveZeroAfterDrainedTestbed(t *testing.T) {
 	cfg := DefaultConfig(4)
 	arq := tfnic.DefaultARQConfig()
@@ -61,6 +75,7 @@ func TestPacketsLiveZeroAfterDrainedTestbed(t *testing.T) {
 	if live := checkPacketBalance(t, tb.Pool()); live != 0 {
 		t.Fatalf("%d packets live after a drained fault-free run", live)
 	}
+	checkKernelDrained(t, tb.K)
 }
 
 // TestPacketsLiveZeroAfterDrainedPool does the same across a 4×2 pool on
@@ -87,4 +102,5 @@ func TestPacketsLiveZeroAfterDrainedPool(t *testing.T) {
 	if live := checkPacketBalance(t, p); live != 0 {
 		t.Fatalf("%d packets live after a drained fault-free pool run", live)
 	}
+	checkKernelDrained(t, p.K)
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 
 	"thymesim/internal/axis"
@@ -156,6 +157,68 @@ func TestSwitchBlockedInputResumesOnCredit(t *testing.T) {
 	}
 	if sw.Forwarded() != beats {
 		t.Fatalf("forwarded = %d", sw.Forwarded())
+	}
+}
+
+// TestSwitchWakeOrderWhileReblocking pins the output waker's order on a
+// 70-port switch, whose blocked inputs span two bitset words. During one
+// waker walk the first woken input takes the freed credit and re-blocks,
+// and then inputs 1, 5 and 68 block on the same output. The walk
+// must wake inputs exactly as a scan of a per-input flag array in index
+// order would: 5 and 68 lie ahead of the walk and wake in it, 1 lies
+// behind it and waits for the next credit.
+func TestSwitchWakeOrderWhileReblocking(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := DefaultSwitchConfig(70)
+	cfg.OutputQueue = 1
+	cfg.InputQueue = 4
+	sw := NewSwitch(k, cfg)
+	beat := func() axis.Beat { return axis.Beat{Bytes: 64, Pkt: &ocapi.Packet{Op: ocapi.OpProbe, Dst: 0}} }
+	var woken []int
+	arrived := false
+	for i := range sw.kicks {
+		kick := sw.kicks[i]
+		sw.kicks[i] = func() {
+			woken = append(woken, i)
+			kick()
+			if i == 3 && !arrived {
+				// Beats arrive at three idle inputs while the walk is
+				// between inputs 3 and 5; the credit is taken, so they
+				// block at once.
+				arrived = true
+				for _, in := range []int{68, 1, 5} {
+					sw.ports[in].In.Push(beat())
+				}
+			}
+		}
+	}
+	out := sw.ports[0].Out
+	out.Push(beat()) // no credit: every input with a beat for port 0 blocks
+	for _, in := range []int{3, 65, 66} {
+		sw.ports[in].In.Push(beat())
+		sw.ports[in].In.Push(beat())
+	}
+	if len(woken) != 0 {
+		t.Fatalf("inputs %v woken before any credit freed", woken)
+	}
+	out.Pop()
+	if want := []int{3, 5, 65, 66, 68}; !slices.Equal(woken, want) {
+		t.Fatalf("first walk woke %v, want %v", woken, want)
+	}
+	// The hop lands; the next credit wakes every blocked input in index
+	// order, and input 1, woken first, takes it.
+	k.Run()
+	woken = woken[:0]
+	out.Pop()
+	if want := []int{1, 3, 5, 65, 66, 68}; !slices.Equal(woken, want) {
+		t.Fatalf("second walk woke %v, want %v", woken, want)
+	}
+	k.Run()
+	if got := sw.Forwarded(); got != 2 {
+		t.Fatalf("forwarded %d beats, want 2", got)
+	}
+	if b, _ := sw.ports[1].In.Peek(); sw.ports[1].In.Len() != 0 || b.Pkt != nil {
+		t.Fatal("input 1 still holds its beat after the second credit")
 	}
 }
 

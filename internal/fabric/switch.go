@@ -8,6 +8,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 
 	"thymesim/internal/axis"
 	"thymesim/internal/metricsplane"
@@ -87,12 +88,13 @@ type Switch struct {
 	// input ports cannot jointly overflow an output queue.
 	peakOcc     []int
 	outInflight []int
-	// kicks holds each input's forwarding engine; waiting[out][in] marks
-	// inputs head-of-line blocked on an output, so freed credit wakes
-	// exactly the blocked engines (in input order) instead of every input
-	// subscribing to every output — O(P) callbacks, not O(P²).
+	// kicks holds each input's forwarding engine; bit in of waiting[out]
+	// (a bitset of 64-input words) marks an input head-of-line blocked on
+	// that output, so freed credit wakes exactly the blocked engines (in
+	// input order) instead of every input subscribing to every output —
+	// O(P) callbacks, not O(P²).
 	kicks    []func()
-	waiting  [][]bool
+	waiting  [][]uint64
 	attached []bool
 
 	// mx holds per-output-port metric bundles; mxDropped the switch-wide
@@ -147,7 +149,7 @@ func NewSwitch(k *sim.Kernel, cfg SwitchConfig) *Switch {
 		peakOcc:     make([]int, cfg.Ports),
 		outInflight: make([]int, cfg.Ports),
 		kicks:       make([]func(), cfg.Ports),
-		waiting:     make([][]bool, cfg.Ports),
+		waiting:     make([][]uint64, cfg.Ports),
 		attached:    make([]bool, cfg.Ports),
 	}
 	inQ := cfg.InputQueue
@@ -160,7 +162,7 @@ func NewSwitch(k *sim.Kernel, cfg SwitchConfig) *Switch {
 		out := axis.NewFIFO(fmt.Sprintf("sw-out%d", i), cfg.OutputQueue)
 		s.ports = append(s.ports, Port{In: in, Out: out})
 		outs[i] = out
-		s.waiting[i] = make([]bool, cfg.Ports)
+		s.waiting[i] = make([]uint64, (cfg.Ports+63)/64)
 	}
 	// One forwarding engine per input port: parse destination, apply
 	// switch latency, enqueue at the output (blocking when full).
@@ -170,14 +172,19 @@ func NewSwitch(k *sim.Kernel, cfg SwitchConfig) *Switch {
 	// One waker per output: when credit frees, resume only the inputs
 	// blocked on this output, in input-index order (the same order the
 	// broadcast subscription fired them in, so scheduling is unchanged).
+	// A kick can block inputs again, itself included, so after each kick
+	// the walk re-reads the live word and goes on past the kicked bit: an
+	// input at a higher index that blocked meanwhile is woken in this
+	// walk, one at or below it waits for the next credit.
 	for o := 0; o < cfg.Ports; o++ {
-		o := o
+		blocked := s.waiting[o]
 		outs[o].OnSpace(func() {
-			blocked := s.waiting[o]
-			for i := range blocked {
-				if blocked[i] {
-					blocked[i] = false
-					s.kicks[i]()
+			for w := range blocked {
+				for m := blocked[w]; m != 0; {
+					b := uint(bits.TrailingZeros64(m))
+					blocked[w] &^= 1 << b
+					s.kicks[w<<6|int(b)]()
+					m = blocked[w] &^ (2<<b - 1)
 				}
 			}
 		})
@@ -204,7 +211,7 @@ func (s *Switch) forwardLoop(port int, in *axis.FIFO, outs []*axis.FIFO) {
 			}
 			out := outs[dst]
 			if out.Space()-inflight[dst] <= 0 {
-				s.waiting[dst][port] = true
+				s.waiting[dst][port>>6] |= 1 << (port & 63)
 				return // head-of-line blocked; out's waker rekicks
 			}
 			b, _ := in.Pop()

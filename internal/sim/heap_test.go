@@ -1,9 +1,20 @@
 package sim
 
 import (
+	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 )
+
+// before is the dispatch order: earliest instant first, scheduling order
+// within an instant.
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
 
 // mirror is a sort-based reference priority queue with the kernel's
 // (at, seq) contract, used to cross-check the 4-ary heap.
@@ -86,16 +97,16 @@ func TestHeapPushPopSortedOrder(t *testing.T) {
 	var h eventPQ
 	var want []event
 	for i := 0; i < 2000; i++ {
-		// arg mirrors seq so the popped event identifies itself.
-		e := event{at: Time(rng.Intn(100)), seq: uint64(i), arg: uint64(i)}
-		h.push(e.at, e.seq, e.arg, nil)
+		// slot mirrors seq so the popped event identifies itself.
+		e := event{at: Time(rng.Intn(100)), seq: uint64(i), slot: uint64(i)}
+		h.push(e.at, e.seq, e.slot)
 		want = append(want, e)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
 	for i, w := range want {
-		at, _, arg := h.pop()
-		if at != w.at || arg != w.seq {
-			t.Fatalf("pop %d = (at=%v seq=%d), want (at=%v seq=%d)", i, at, arg, w.at, w.seq)
+		at, slot := h.pop()
+		if at != w.at || slot != w.seq {
+			t.Fatalf("pop %d = (at=%v seq=%d), want (at=%v seq=%d)", i, at, slot, w.at, w.seq)
 		}
 	}
 	if len(h) != 0 {
@@ -213,5 +224,97 @@ func TestSchedulePathZeroAlloc(t *testing.T) {
 	}
 	if got := k.QueueStats().ToLanes - before; got != 2002 {
 		t.Errorf("lane cycle routed %d events to lanes, want 2002 (two of every three)", got)
+	}
+}
+
+// TestEventRecordPointerFree pins the heap record's layout: 24 bytes with
+// no pointer field, so sifting needs no write barrier and the GC never
+// scans the heap's backing array.
+func TestEventRecordPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 24 {
+		t.Errorf("event is %d bytes, want 24", n)
+	}
+	rt := reflect.TypeOf(event{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch f := rt.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Interface, reflect.Func,
+			reflect.Map, reflect.Slice, reflect.Chan, reflect.String:
+			t.Errorf("event.%s is a %v, which holds a pointer", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// checkSlots asserts the slot table's accounting: every slot either holds
+// the callee of a heap entry or sits on the free list, exactly once, and
+// a free slot references no handler.
+func checkSlots(t *testing.T, k *Kernel) {
+	t.Helper()
+	used := 0
+	for _, e := range k.pq {
+		if e.slot&laneFlag == 0 {
+			used++
+			if k.slots[e.slot].h == nil {
+				t.Fatalf("heap entry (at=%v seq=%d) parks no handler in slot %d", e.at, e.seq, e.slot)
+			}
+		}
+	}
+	seen := make([]bool, len(k.slots))
+	for _, s := range k.free {
+		if seen[s] {
+			t.Fatalf("slot %d is on the free list twice", s)
+		}
+		seen[s] = true
+		if k.slots[s].h != nil {
+			t.Fatalf("free slot %d still references a handler", s)
+		}
+	}
+	if used+len(k.free) != len(k.slots) {
+		t.Fatalf("%d parked + %d free slots, but the table has %d", used, len(k.free), len(k.slots))
+	}
+	if got := k.QueueStats().Parked; got != used {
+		t.Fatalf("QueueStats().Parked = %d, want %d", got, used)
+	}
+}
+
+// TestSlotTableAccounting drives heap, lane, ring and timer traffic —
+// including cancelled timers collected into the heap — and checks the
+// slot table after every dispatch and once the kernel drains.
+func TestSlotTableAccounting(t *testing.T) {
+	rng := NewRand(5)
+	k := NewKernel()
+	var ids []TimerID
+	var h handlerProbe
+	order := make([]uint64, 0, 8192)
+	h.order = &order
+	scheduled := 0
+	var spawn func()
+	spawn = func() {
+		checkSlots(t, k)
+		for n := rng.Intn(3); n > 0 && scheduled < 3000; n-- {
+			scheduled++
+			switch rng.Intn(5) {
+			case 0:
+				k.Post(spawn)
+			case 1:
+				k.AfterH(Duration(1+rng.Intn(4))*Nanosecond, &h, 0)
+			case 2:
+				ids = append(ids, k.ArmTimer(Duration(rng.Intn(3000))*Nanosecond, Func(spawn), 0))
+			case 3:
+				if len(ids) > 0 {
+					k.CancelTimer(ids[rng.Intn(len(ids))])
+				}
+				k.After(Duration(rng.Intn(50))*Nanosecond, spawn)
+			default:
+				k.After(Duration(rng.Intn(50))*Nanosecond, spawn)
+			}
+		}
+	}
+	for i := 0; i < 2*laneGate; i++ {
+		k.At(Time(i), spawn)
+	}
+	k.Run()
+	checkSlots(t, k)
+	if qs := k.QueueStats(); qs.Parked != 0 || qs.ToLanes == 0 || len(k.free) != len(k.slots) {
+		t.Fatalf("drained kernel: %+v, %d of %d slots free", qs, len(k.free), len(k.slots))
 	}
 }

@@ -29,22 +29,28 @@ type Func func()
 // Handle implements Handler.
 func (f Func) Handle(uint64) { f() }
 
-// An event is a Handler/arg pair scheduled at an instant. seq breaks ties
-// so that events at equal timestamps run in scheduling order.
+// An event is one heap record: the instant, the seq that breaks ties so
+// that events at equal timestamps run in scheduling order, and a slot.
+// The slot either names the kernel's callee table entry holding the
+// event's (Handler, arg), or, with laneFlag set, the fixed-delay lane
+// whose head the entry stands for. The record is 24 bytes and holds no
+// pointer, so sifting it needs no write barrier and the heap's backing
+// array is never scanned by the GC.
 type event struct {
-	at  Time
-	seq uint64
-	arg uint64
-	h   Handler
+	at   Time
+	seq  uint64
+	slot uint64
 }
 
-// before is the dispatch order: earliest instant first, scheduling order
-// within an instant.
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+// laneFlag marks a heap entry that stands for a lane; the low bits are the
+// lane's index in Kernel.lanes.
+const laneFlag = 1 << 63
+
+// A callee is the (Handler, arg) pair a heap event dispatches, parked in
+// the kernel's slot table while the event waits.
+type callee struct {
+	h   Handler
+	arg uint64
 }
 
 // eventPQ is a hand-rolled 4-ary min-heap ordered by (at, seq). It is
@@ -54,18 +60,14 @@ func (e event) before(o event) bool {
 // slice makes the schedule path allocation-free beyond slice growth, and
 // the 4-ary shape halves the tree depth versus binary, trading a wider
 // (cache-line-friendly) sibling scan for fewer levels per sift.
-//
-// An entry with a nil handler stands for a fixed-delay lane: its key is
-// the lane head's (at, seq) and its arg the lane's slot in Kernel.lanes.
-// Every other entry is one pending event.
 type eventPQ []event
 
-// push inserts the event (at, seq, arg, hd), sifting it up from the tail.
-// It takes the fields rather than an event value, and pop returns them
-// rather than an event: passing the 40-byte struct through registers makes
-// the compiler spill it word by word and reload it in 16-byte halves, a
-// store-forwarding stall on every schedule and dispatch.
-func (h *eventPQ) push(at Time, seq, arg uint64, hd Handler) {
+// push inserts the event (at, seq, slot), sifting it up from the tail.
+// Records go in and out as fields, never as event values, and move field
+// by field: a struct passed through registers or copied whole is spilled
+// word by word and reloaded in 16-byte halves, a store-forwarding stall
+// on every schedule and dispatch.
+func (h *eventPQ) push(at Time, seq, slot uint64) {
 	q := *h
 	if len(q) == cap(q) {
 		q = append(q, event{})
@@ -75,41 +77,40 @@ func (h *eventPQ) push(at Time, seq, arg uint64, hd Handler) {
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if at > q[p].at || (at == q[p].at && seq > q[p].seq) {
+		e := &q[p]
+		if at > e.at || (at == e.at && seq > e.seq) {
 			break
 		}
-		q[i] = q[p]
+		d := &q[i]
+		d.at, d.seq, d.slot = e.at, e.seq, e.slot
 		i = p
 	}
-	// Field by field: a composite literal is built on the stack and
-	// copied, with the same stall.
 	e := &q[i]
-	e.at, e.seq, e.arg, e.h = at, seq, arg, hd
+	e.at, e.seq, e.slot = at, seq, slot
 	*h = q
 }
 
-// pop removes the minimum and returns its instant, handler and arg. It
-// must not be called on an empty heap.
-func (h *eventPQ) pop() (Time, Handler, uint64) {
+// pop removes the minimum and returns its instant and slot. It must not
+// be called on an empty heap.
+func (h *eventPQ) pop() (Time, uint64) {
 	q := *h
-	at, hd, arg := q[0].at, q[0].h, q[0].arg
+	at, slot := q[0].at, q[0].slot
 	n := len(q) - 1
 	if n > 0 {
-		// The tail is read and moved field by field, for the same reason
-		// push writes it that way.
 		last := &q[n]
-		q[:n].siftDown(last.at, last.seq, last.arg, last.h)
+		q[:n].siftDown(last.at, last.seq, last.slot)
 	}
-	q[n] = event{} // release the handler for GC
 	*h = q[:n]
-	return at, hd, arg
+	return at, slot
 }
 
-// siftDown fills the hole at the root with (at, seq, arg, hd), moving the
+// siftDown fills the hole at the root with (at, seq, slot), moving the
 // hole down instead of swapping. pop fills it with the tail; a lane's
 // dispatch re-keys its own entry with the lane's next head, which can only
-// be later, so one sift replaces a pop and a push.
-func (q eventPQ) siftDown(at Time, seq, arg uint64, hd Handler) {
+// be later, so one sift replaces a pop and a push. The best child's key is
+// kept in locals while the siblings are scanned, so no record is copied
+// until the hole moves.
+func (q eventPQ) siftDown(at Time, seq, slot uint64) {
 	n := len(q)
 	i := 0
 	for {
@@ -122,19 +123,21 @@ func (q eventPQ) siftDown(at Time, seq, arg uint64, hd Handler) {
 			end = n
 		}
 		m := c
+		bat, bseq := q[c].at, q[c].seq
 		for j := c + 1; j < end; j++ {
-			if q[j].before(q[m]) {
-				m = j
+			if e := &q[j]; e.at < bat || (e.at == bat && e.seq < bseq) {
+				m, bat, bseq = j, e.at, e.seq
 			}
 		}
-		if at < q[m].at || (at == q[m].at && seq < q[m].seq) {
+		if at < bat || (at == bat && seq < bseq) {
 			break
 		}
-		q[i] = q[m]
+		d := &q[i]
+		d.at, d.seq, d.slot = bat, bseq, q[m].slot
 		i = m
 	}
 	e := &q[i]
-	e.at, e.seq, e.arg, e.h = at, seq, arg, hd
+	e.at, e.seq, e.slot = at, seq, slot
 }
 
 // A ringEvent is an event scheduled at the kernel's current instant,
@@ -149,14 +152,23 @@ type ringEvent struct {
 	h   Handler
 }
 
+// A laneEvent is one event waiting in a lane. Lanes are FIFOs that are
+// never sifted, so they keep the callee inline rather than in a slot.
+type laneEvent struct {
+	at  Time
+	seq uint64
+	arg uint64
+	h   Handler
+}
+
 // A lane is a FIFO ring of events that were all scheduled with the same
 // delay d. The clock never goes back and seq only grows, so events appended
 // with a fixed delay arrive already sorted by (at, seq): only the head
 // needs a place in the heap.
 type lane struct {
 	d    Duration
-	last Time    // instant of the latest delay-d event sent to the heap
-	buf  []event // ring; length is zero or a power of two
+	last Time        // instant of the latest delay-d event sent to the heap
+	buf  []laneEvent // ring; length is zero or a power of two
 	head int
 	n    int
 }
@@ -164,7 +176,7 @@ type lane struct {
 // add appends an event at the tail, doubling the ring when it is full.
 func (l *lane) add(at Time, seq, arg uint64, h Handler) {
 	if l.n == len(l.buf) {
-		buf := make([]event, max(16, 2*len(l.buf)))
+		buf := make([]laneEvent, max(16, 2*len(l.buf)))
 		c := copy(buf, l.buf[l.head:])
 		copy(buf[c:], l.buf[:l.head])
 		l.buf, l.head = buf, 0
@@ -200,6 +212,12 @@ func laneSlot(d Duration) uint64 { return uint64(d) * 0x9e3779b97f4a7c15 >> (64 
 // are collected into the heap. The zero value is not usable; create
 // kernels with NewKernel.
 //
+// The heap holds pointer-free records. An event that waits in the heap
+// parks its (Handler, arg) in the slot table, a slice reused through a
+// LIFO free list so a dispatch's follow-up schedule takes back the slot
+// it just freed, still hot in cache; a lane's entry names the lane
+// instead.
+//
 // Every pending event waits in exactly one of these places, and each is
 // sorted by (at, seq): the ring and every lane because they are appended
 // in seq order at non-decreasing instants, the heap by construction. The
@@ -211,6 +229,8 @@ func laneSlot(d Duration) uint64 { return uint64(d) * 0x9e3779b97f4a7c15 >> (64 
 // every simulated result, is independent of how events are routed.
 type Kernel struct {
 	pq        eventPQ
+	slots     []callee // callees of the heap's non-lane entries
+	free      []uint32 // free slots, reused last-freed first
 	iq        []ringEvent
 	iqHead    int
 	now       Time
@@ -242,6 +262,7 @@ type QueueStats struct {
 	ToHeap    uint64 // AtH/AfterH events past the current instant that waited in the heap
 	Lanes     int    // lanes holding events now
 	LanesHigh int    // most lanes holding events at once
+	Parked    int    // slot-table entries holding a callee now; 0 once drained
 }
 
 // QueueStats returns the kernel's queue counters.
@@ -252,7 +273,21 @@ func (k *Kernel) QueueStats() QueueStats {
 		ToHeap:    k.toHeap,
 		Lanes:     k.lanesBusy,
 		LanesHigh: k.lanesHigh,
+		Parked:    k.parked(),
 	}
+}
+
+// parked counts the slot table's entries that hold a handler. Dispatch
+// clears a slot before freeing it, so on a drained kernel this is zero
+// exactly when no slot still references a callee.
+func (k *Kernel) parked() int {
+	n := 0
+	for i := range k.slots {
+		if k.slots[i].h != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // NewKernel returns a kernel whose clock starts at time zero.
@@ -334,7 +369,7 @@ func (k *Kernel) toLane(t Time, h Handler, arg uint64) bool {
 		}
 		k.laneExtra++
 	case ln.d == d && ln.last > k.now:
-		k.push(t, k.seq, s, nil)
+		k.pushEntry(t, k.seq, laneFlag|s)
 		if k.lanesBusy++; k.lanesBusy > k.lanesHigh {
 			k.lanesHigh = k.lanesBusy
 		}
@@ -347,9 +382,25 @@ func (k *Kernel) toLane(t Time, h Handler, arg uint64) bool {
 	return true
 }
 
-// push inserts an entry into the heap and tracks its high-water mark.
+// push parks h and arg in a free slot and inserts the event into the
+// heap.
 func (k *Kernel) push(at Time, seq, arg uint64, h Handler) {
-	k.pq.push(at, seq, arg, h)
+	var s uint32
+	if n := len(k.free); n > 0 {
+		s = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		s = uint32(len(k.slots))
+		k.slots = append(k.slots, callee{})
+	}
+	c := &k.slots[s]
+	c.h, c.arg = h, arg
+	k.pushEntry(at, seq, uint64(s))
+}
+
+// pushEntry inserts a heap record and tracks the heap's high-water mark.
+func (k *Kernel) pushEntry(at Time, seq, slot uint64) {
+	k.pq.push(at, seq, slot)
 	if len(k.pq) > k.pqHigh {
 		k.pqHigh = len(k.pq)
 	}
@@ -400,11 +451,15 @@ func (k *Kernel) step(limit Time) bool {
 	if len(k.pq) == 0 || k.pq[0].at > limit {
 		return false
 	}
-	if k.pq[0].h == nil {
+	if k.pq[0].slot&laneFlag != 0 {
 		k.stepLane()
 		return true
 	}
-	at, h, arg := k.pq.pop()
+	at, s := k.pq.pop()
+	c := &k.slots[s]
+	h, arg := c.h, c.arg
+	c.h = nil // release the handler for GC
+	k.free = append(k.free, uint32(s))
 	k.now = at
 	k.processed++
 	h.Handle(arg)
@@ -415,15 +470,15 @@ func (k *Kernel) step(limit Time) bool {
 // A lane with events left re-keys its entry with its next head, which is
 // later than the one dispatched; an emptied lane leaves the heap.
 func (k *Kernel) stepLane() {
-	slot := k.pq[0].arg
-	ln := &k.lanes[slot]
+	slot := k.pq[0].slot
+	ln := &k.lanes[slot&^laneFlag]
 	e := &ln.buf[ln.head]
 	at, h, arg := e.at, e.h, e.arg
 	e.h = nil // release the handler for GC
 	ln.head = (ln.head + 1) & (len(ln.buf) - 1)
 	if ln.n--; ln.n > 0 {
 		nx := &ln.buf[ln.head]
-		k.pq.siftDown(nx.at, nx.seq, slot, nil)
+		k.pq.siftDown(nx.at, nx.seq, slot)
 		k.laneExtra--
 	} else {
 		k.pq.pop()

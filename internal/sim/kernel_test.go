@@ -320,7 +320,7 @@ func TestKernelStepTo(t *testing.T) {
 				}
 			},
 			to: 30, before: []Time{10, 20},
-			waits: func(k *Kernel) bool { return len(k.pq) == 1 && k.pq[0].h != nil },
+			waits: func(k *Kernel) bool { return len(k.pq) == 1 && k.pq[0].slot&laneFlag == 0 },
 		},
 		{
 			// An event in the ring sits at the current instant, so the
