@@ -1,11 +1,6 @@
 GO ?= go
 
-.PHONY: all build test examples bench-test fuzz-smoke race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden trace-smoke metrics-smoke bench bench-gate cover-pool clean
-
-# Benchmark artifact for this PR and the committed baseline it is gated
-# against (previous PR's numbers).
-BENCH_OUT      ?= BENCH_10.json
-BENCH_BASELINE ?= BENCH_9.json
+.PHONY: all build test examples bench-test fuzz-smoke race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden trace-smoke metrics-smoke cover-pool clean
 
 all: vet fmt-check build test
 
@@ -29,14 +24,15 @@ bench-test:
 
 # Fuzz each target for FUZZTIME (10s by default) on top of its seed
 # corpus: a short per-change exploration of the kernel's event order, the
-# trace reader, the allocator, the ARQ's dense transaction table and the
-# axis FIFO ring.
+# trace reader, the allocator, the ARQ's dense transaction table, the
+# axis FIFO ring and the experiment options' validation.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzKernelOrder:./internal/sim \
 	FuzzTraceReader:./internal/trace \
 	FuzzAllocatorOps:./internal/pool \
 	FuzzARQResponseStream:./internal/tfnic \
-	FuzzFIFO:./internal/axis
+	FuzzFIFO:./internal/axis \
+	FuzzOptionsValidate:./internal/core
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -76,22 +72,6 @@ cover-pool:
 		ok=$$(awk -v p="$$pct" 'BEGIN {print (p >= 80.0) ? 1 : 0}'); \
 		if [ "$$ok" != 1 ]; then echo "$$pkg below the 80% floor"; exit 1; fi; \
 	done
-
-# Run the sim/core/obs benchmarks with allocation stats and record them as
-# a machine-diffable JSON artifact (uploaded by CI).
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem \
-		./internal/sim ./internal/core ./internal/obs > bench.out
-	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) < bench.out
-	@rm -f bench.out
-
-# Allocation-regression gate: rerun the benchmarks and fail if any of them
-# regressed >20% in ns/op or grew allocs/op at all vs the committed baseline.
-bench-gate:
-	$(GO) test -run '^$$' -bench . -benchmem \
-		./internal/sim ./internal/core ./internal/obs > bench.out
-	$(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -gate < bench.out > /dev/null
-	@rm -f bench.out
 
 # Race-check the pool-heavy packages: pooled transactions and free-listed
 # continuations must stay data-race-free under concurrent sweep workers.

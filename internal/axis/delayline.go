@@ -8,15 +8,15 @@ import "thymesim/internal/sim"
 // FPGA pipeline without simulating each stage. Backpressure: beats are
 // launched only when output space, net of in-flight beats, is available.
 type DelayLine struct {
-	k        *sim.Kernel
-	in, out  *FIFO
-	delay    sim.Duration
-	inflight int
-	moved    uint64
+	k       *sim.Kernel
+	in, out *FIFO
+	delay   sim.Duration
+	moved   uint64
 	// free is an intrusive free list of flight contexts; each in-flight
 	// beat borrows one and returns it on delivery, so a warmed-up line
-	// schedules without allocating.
-	free *flight
+	// schedules without allocating. inflight counts the borrowed ones.
+	free     *flight
+	inflight int
 }
 
 // flight carries one in-transit beat through the kernel schedule. It is
@@ -54,6 +54,10 @@ func NewDelayLine(k *sim.Kernel, in, out *FIFO, delay sim.Duration) *DelayLine {
 
 // Moved returns the number of beats delivered so far.
 func (d *DelayLine) Moved() uint64 { return d.moved }
+
+// FlightsLive returns the pooled flight contexts borrowed and not yet
+// returned: the beats in flight, 0 once drained.
+func (d *DelayLine) FlightsLive() int { return d.inflight }
 
 func (d *DelayLine) kick() {
 	for d.in.Len() > 0 && d.out.Space()-d.inflight > 0 {

@@ -13,7 +13,6 @@ package cache
 import (
 	"fmt"
 
-	"thymesim/internal/metricsplane"
 	"thymesim/internal/ocapi"
 )
 
@@ -32,7 +31,9 @@ func (c Config) Validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache: ways = %d", c.Ways)
 	}
-	if c.SizeBytes <= 0 || c.SizeBytes%(c.LineSize*c.Ways) != 0 {
+	// Bounding Ways by the line count first keeps ways*line from
+	// overflowing.
+	if c.SizeBytes <= 0 || c.Ways > c.SizeBytes/c.LineSize || c.SizeBytes%(c.LineSize*c.Ways) != 0 {
 		return fmt.Errorf("cache: size %d not divisible by ways*line", c.SizeBytes)
 	}
 	sets := c.SizeBytes / (c.LineSize * c.Ways)
@@ -81,7 +82,6 @@ type Cache struct {
 	clock    uint64
 	stats    Stats
 	onEvict  func(victimAddr uint64, dirty bool)
-	mx       *metricsplane.CacheMetrics // nil when the metrics plane is disabled
 }
 
 // New builds a cache; invalid configs panic.
@@ -107,10 +107,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// SetMetrics attaches the metrics plane's hit/miss/eviction counters
-// (observe-only; nil disables).
-func (c *Cache) SetMetrics(m *metricsplane.CacheMetrics) { c.mx = m }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return len(c.sets) }
@@ -155,7 +151,6 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 				lines[i].dirty = true
 			}
 			c.stats.Hits++
-			c.mx.Access(true, false, false)
 			return Result{Hit: true}
 		}
 	}
@@ -185,7 +180,6 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		}
 	}
 	lines[victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
-	c.mx.Access(false, res.Evicted, res.Writeback)
 	return res
 }
 

@@ -14,11 +14,12 @@ func smallCache() *Cache {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{SizeBytes: 1024, Ways: 2, LineSize: 100}, // line not pow2
-		{SizeBytes: 1000, Ways: 2, LineSize: 128}, // size not divisible
-		{SizeBytes: 1024, Ways: 0, LineSize: 128}, // no ways
-		{SizeBytes: 1152, Ways: 3, LineSize: 128}, // 3 sets: not pow2
-		{SizeBytes: -128, Ways: 1, LineSize: 128}, // negative
+		{SizeBytes: 1024, Ways: 2, LineSize: 100},       // line not pow2
+		{SizeBytes: 1000, Ways: 2, LineSize: 128},       // size not divisible
+		{SizeBytes: 1024, Ways: 0, LineSize: 128},       // no ways
+		{SizeBytes: 1152, Ways: 3, LineSize: 128},       // 3 sets: not pow2
+		{SizeBytes: -128, Ways: 1, LineSize: 128},       // negative
+		{SizeBytes: 1024, Ways: 1 << 57, LineSize: 128}, // ways*line overflows to 0
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -82,10 +82,11 @@ type Config struct {
 	// Profile sets interconnect wire overheads (zero value = OpenCAPI
 	// over Ethernet).
 	Profile ocapi.Profile
-	// Metrics, when non-nil, threads the labeled metrics plane through
-	// every wired component (NICs, ARQ, backends, DRAM, caches, links,
-	// allocators). The plane only observes: simulated results are
-	// identical with it enabled or disabled.
+	// Metrics, when non-nil, attaches the labeled metrics plane, which
+	// pulls every wired component's counters (NICs, ARQ, backends, DRAM,
+	// caches, links, allocators) when a run returns. The plane only
+	// observes: simulated results are identical with it enabled or
+	// disabled.
 	Metrics *metricsplane.Plane
 	// WindowSize is the remote memory reservation size in bytes.
 	WindowSize uint64
@@ -222,10 +223,10 @@ func (tb *Testbed) EnableTracing(cfg obs.Config) *obs.Tracer {
 // Tracer returns the span tracer, or nil when tracing is disabled.
 func (tb *Testbed) Tracer() *obs.Tracer { return tb.pool.Tracer() }
 
-// EnableMetrics threads the metrics plane through the testbed's wired
+// EnableMetrics attaches the metrics plane to the testbed's wired
 // components (equivalent to setting Config.Metrics before construction,
-// for callers that build the plane late). Call it before creating
-// hierarchies so their caches pick up counters at construction.
+// for callers that build the plane late); it counts from this call on.
+// Call it before creating hierarchies so their caches are counted.
 func (tb *Testbed) EnableMetrics(pl *metricsplane.Plane) { tb.pool.EnableMetrics(pl) }
 
 // Metrics returns the attached metrics plane, or nil when disabled.

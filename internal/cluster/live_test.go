@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"thymesim/internal/ocapi"
@@ -48,6 +49,37 @@ func checkKernelDrained(t *testing.T, k *sim.Kernel) {
 	}
 }
 
+// checkPoolsDrained asserts that every per-fill free list got back what
+// it lent once the kernel drained: backend transaction contexts, DRAM
+// access contexts, NIC delay-line flights and wire flights.
+func checkPoolsDrained(t *testing.T, p *Pool) {
+	t.Helper()
+	live := func(what string, n int) {
+		if n != 0 {
+			t.Errorf("%s: %d pooled contexts still live after drain", what, n)
+		}
+	}
+	for _, b := range p.Borrowers {
+		for i, be := range b.Backends() {
+			live(fmt.Sprintf("borrower %d backend %d", b.ID, i), be.TxnsLive())
+		}
+		live(fmt.Sprintf("borrower %d DRAM", b.ID), b.Mem.AccessesLive())
+		live(fmt.Sprintf("borrower %d NIC", b.ID), b.NIC.FlightsLive())
+	}
+	for _, l := range p.Lenders {
+		live(fmt.Sprintf("lender %d DRAM", l.ID), l.Mem.AccessesLive())
+		live(fmt.Sprintf("lender %d NIC", l.ID), l.NIC.FlightsLive())
+	}
+	links := p.links
+	if p.Link != nil {
+		links = append(links, p.Link)
+	}
+	for i, ln := range links {
+		live(fmt.Sprintf("link %d a->b", i), ln.AtoB.FlightsLive())
+		live(fmt.Sprintf("link %d b->a", i), ln.BtoA.FlightsLive())
+	}
+}
+
 // TestPacketsLiveZeroAfterDrainedTestbed runs reads, writebacks and a
 // probe through a fault-free two-node testbed with ARQ: once the kernel
 // drains, every wire packet is back in its pool and no kernel slot holds
@@ -76,6 +108,7 @@ func TestPacketsLiveZeroAfterDrainedTestbed(t *testing.T) {
 		t.Fatalf("%d packets live after a drained fault-free run", live)
 	}
 	checkKernelDrained(t, tb.K)
+	checkPoolsDrained(t, tb.Pool())
 }
 
 // TestPacketsLiveZeroAfterDrainedPool does the same across a 4×2 pool on
@@ -103,4 +136,5 @@ func TestPacketsLiveZeroAfterDrainedPool(t *testing.T) {
 		t.Fatalf("%d packets live after a drained fault-free pool run", live)
 	}
 	checkKernelDrained(t, p.K)
+	checkPoolsDrained(t, p)
 }

@@ -117,7 +117,11 @@ type BorrowerNode struct {
 
 	backend   *memport.RemoteBackend
 	backends  []*memport.RemoteBackend
+	tenants   []string // each backend's metrics tenant label
 	tagCursor uint32
+	// caches are the LLCs built while the metrics plane was attached,
+	// which the pool's collector sums.
+	caches []*cache.Cache
 	// sender is what backends send through: the ARQ layer when
 	// configured, else the NIC directly.
 	sender memport.Sender
@@ -141,6 +145,8 @@ type LenderNode struct {
 	NIC   *tfnic.NIC
 	Mem   *dram.DRAM
 	Alloc *pool.Allocator
+
+	caches []*cache.Cache // as BorrowerNode.caches
 }
 
 // Pool is the composed N-borrower × M-lender system: the node-graph
@@ -470,56 +476,6 @@ func (p *Pool) EnableTracing(cfg obs.Config) *obs.Tracer {
 // Tracer returns the span tracer, or nil when tracing is disabled.
 func (p *Pool) Tracer() *obs.Tracer { return p.tracer }
 
-// EnableMetrics threads the metrics plane through every wired component:
-// per-node NIC/ARQ/DRAM instruments, per-backend fill latency histograms,
-// per-lender allocator gauges, per-cable link counters, and the switch's
-// per-port queue gauges. Like tracing, the plane only observes — simulated
-// results are identical with it on or off. nil is a no-op, so NewPool can
-// call it unconditionally.
-func (p *Pool) EnableMetrics(pl *metricsplane.Plane) {
-	if pl == nil {
-		return
-	}
-	if p.plane != nil {
-		panic("cluster: metrics already enabled")
-	}
-	p.plane = pl
-	for _, b := range p.Borrowers {
-		b.NIC.SetMetrics(pl.NICMetricsFor(b.ID))
-		b.Mem.SetMetrics(pl.DRAMMetricsFor(b.ID))
-		if b.ARQ != nil {
-			b.ARQ.SetMetrics(pl.ARQMetricsFor(b.ID))
-		}
-		for i, be := range b.backends {
-			be.SetMetrics(pl.FillMetricsFor(b.ID, backendTenant(i)))
-		}
-	}
-	for _, l := range p.Lenders {
-		l.NIC.SetMetrics(pl.NICMetricsFor(l.ID))
-		l.Mem.SetMetrics(pl.DRAMMetricsFor(l.ID))
-		l.Alloc.SetMetrics(pl.AllocMetricsFor(l.Index))
-	}
-	if p.Link != nil {
-		// The 1×1 pool's point-to-point cable: link 0 is each node's
-		// transmit direction.
-		p.Link.AtoB.SetMetrics(pl.LinkMetricsFor(BorrowerID, 0))
-		p.Link.BtoA.SetMetrics(pl.LinkMetricsFor(LenderID, 0))
-	}
-	for port, ln := range p.links {
-		// Node-to-switch cables: link 0 = toward the switch, 1 = from it.
-		ln.AtoB.SetMetrics(pl.LinkMetricsFor(port, 0))
-		ln.BtoA.SetMetrics(pl.LinkMetricsFor(port, 1))
-	}
-	if p.Switch != nil {
-		ports := make([]*metricsplane.SwitchPortMetrics, p.Switch.Ports())
-		for i := range ports {
-			ports[i] = pl.SwitchPortMetricsFor(i)
-		}
-		p.Switch.SetMetrics(ports, pl.SwitchDropCounter())
-	}
-	p.wireStageRollups()
-}
-
 // Metrics returns the attached metrics plane, or nil when disabled.
 func (p *Pool) Metrics() *metricsplane.Plane { return p.plane }
 
@@ -574,10 +530,12 @@ func (b *BorrowerNode) newBackend() *memport.RemoteBackend {
 	if b.p.tracer != nil {
 		be.SetTracer(b.p.tracer)
 	}
+	tenant := backendTenant(len(b.backends))
 	if b.p.plane != nil {
-		be.SetMetrics(b.p.plane.FillMetricsFor(b.ID, backendTenant(len(b.backends))))
+		be.SetMetrics(b.p.plane.FillLatency(b.ID, tenant), b.p.plane.RecorderFor(b.ID))
 	}
 	b.backends = append(b.backends, be)
+	b.tenants = append(b.tenants, tenant)
 	return be
 }
 
@@ -588,6 +546,12 @@ func (p *Pool) pairedLenderNode() int { return p.cfg.Borrowers }
 
 // Backend exposes the borrower's shared port backend (diagnostics).
 func (b *BorrowerNode) Backend() *memport.RemoteBackend { return b.backend }
+
+// Caches returns the LLCs of the hierarchies the borrower built while the
+// metrics plane was attached: the ones the pool's collector sums.
+func (b *BorrowerNode) Caches() []*cache.Cache {
+	return append([]*cache.Cache(nil), b.caches...)
+}
 
 // Backends returns all port backends the borrower has created.
 func (b *BorrowerNode) Backends() []*memport.RemoteBackend {
@@ -680,12 +644,12 @@ func (b *BorrowerNode) NewRemoteHierarchy() *memport.Hierarchy {
 	return h
 }
 
-// newLLC builds a hierarchy's cache, attaching the metrics plane's
-// hit/miss counters when enabled.
+// newLLC builds a hierarchy's cache, keeping it for the metrics
+// collector when the plane is attached.
 func (b *BorrowerNode) newLLC() *cache.Cache {
 	c := cache.New(b.p.cfg.Base.LLC)
 	if b.p.plane != nil {
-		c.SetMetrics(b.p.plane.CacheMetricsFor(b.ID))
+		b.caches = append(b.caches, c)
 	}
 	return c
 }
@@ -723,7 +687,7 @@ func (p *Pool) NewLenderLocalHierarchy(l int) *memport.Hierarchy {
 	}
 	c := cache.New(cfg.LLC)
 	if p.plane != nil {
-		c.SetMetrics(p.plane.CacheMetricsFor(p.Lenders[l].ID))
+		p.Lenders[l].caches = append(p.Lenders[l].caches, c)
 	}
 	h := memport.NewHierarchy(p.Lenders[l].K, c, backend, cfg.MSHRs)
 	h.SetTracer(p.tracer)

@@ -144,9 +144,13 @@ type BreakerStats struct {
 	Successes      uint64 // healthy outcomes recorded
 	Failures       uint64 // failed outcomes recorded
 	Trips          uint64 // Closed -> Open transitions
+	HalfOpens      uint64 // Open -> Half-Open transitions
 	Reopens        uint64 // Half-Open -> Open transitions
 	Closes         uint64 // Half-Open -> Closed transitions
 }
+
+// Transitions returns the state changes counted, of every kind.
+func (s BreakerStats) Transitions() uint64 { return s.Trips + s.HalfOpens + s.Reopens + s.Closes }
 
 // Breaker is a count-window circuit breaker. Allow gates each access;
 // Record feeds it the outcome stream (wire it to the remote backend's
@@ -175,7 +179,7 @@ type Breaker struct {
 	// OnStateChange, when set, observes every transition.
 	OnStateChange func(from, to BreakerState)
 
-	mx *metricsplane.BreakerMetrics // nil when the metrics plane is disabled
+	rec metricsplane.NodeRecorder // transitions, for the flight recorder
 }
 
 // NewBreaker builds a breaker in the Closed state. Invalid configurations
@@ -192,10 +196,10 @@ func NewBreaker(k *sim.Kernel, cfg BreakerConfig) (*Breaker, error) {
 	}, nil
 }
 
-// SetMetrics attaches the metrics plane's breaker bundle (state gauge
-// plus transition/short-circuit counters). Observe-only; composes with
-// OnStateChange rather than occupying it.
-func (b *Breaker) SetMetrics(m *metricsplane.BreakerMetrics) { b.mx = m }
+// SetRecorder attaches the metrics plane's flight-recorder handle, which
+// logs every transition. Observe-only; composes with OnStateChange rather
+// than occupying it. The counters in Stats are pulled by the plane.
+func (b *Breaker) SetRecorder(rec metricsplane.NodeRecorder) { b.rec = rec }
 
 // State returns the current breaker state.
 func (b *Breaker) State() BreakerState { return b.state }
@@ -229,7 +233,6 @@ func (b *Breaker) Allow() bool {
 		}
 	}
 	b.stats.ShortCircuited++
-	b.mx.ShortCircuit()
 	return false
 }
 
@@ -321,6 +324,7 @@ func (b *Breaker) Handle(uint64) {
 		return
 	}
 	b.inFlight, b.streak = 0, 0
+	b.stats.HalfOpens++
 	b.transition(BreakerHalfOpen)
 }
 
@@ -334,7 +338,7 @@ func (b *Breaker) transition(to BreakerState) {
 	}
 	b.state = to
 	b.transitions = append(b.transitions, BreakerTransition{At: b.k.Now(), From: from, To: to})
-	b.mx.Transition(int(from), int(to), b.k.Now().Micros())
+	b.rec.Record(b.k.Now(), metricsplane.EvBreakerTransition, uint64(from)<<8|uint64(to))
 	if b.OnStateChange != nil {
 		b.OnStateChange(from, to)
 	}

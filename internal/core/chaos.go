@@ -236,6 +236,12 @@ var chaosCounterNames = []string{
 // then audits the end-to-end invariants.
 func (o Options) runChaosWorkload(cfg ChaosConfig, name string) ChaosResult {
 	tb, gs := o.chaosTestbed(cfg)
+	return o.runChaosOn(tb, gs, cfg, name)
+}
+
+// runChaosOn is runChaosWorkload on a testbed the caller built with
+// chaosTestbed.
+func (o Options) runChaosOn(tb *cluster.Testbed, gs *chaosGates, cfg ChaosConfig, name string) ChaosResult {
 	sup := control.NewSupervisor(tb, cfg.Supervisor)
 
 	counters := metrics.NewCounterSet()
@@ -462,9 +468,7 @@ func (o Options) RunDegradedFailover() *DegradedFailover {
 
 	mig := migrate.New(tb.K, tb.RemoteBackend(), memport.NewDRAMBackend(tb.BorrowerMem),
 		migrate.DefaultConfig(0x40_0000_0000))
-	if o.Metrics != nil {
-		mig.SetMetrics(o.Metrics.MigrateMetricsFor(cluster.BorrowerID))
-	}
+	o.collectMigrator(tb.K, mig)
 	res := &DegradedFailover{}
 	sup.OnStateChange = func(_, to control.LinkState) {
 		if to == control.LinkDead {

@@ -228,10 +228,8 @@ func (o Options) runChaosSchedule(cfg ChaosScheduleConfig) (*ChaosScheduleResult
 	mig := migrate.New(tb.K, tb.RemoteBackend(), memport.NewDRAMBackend(tb.BorrowerMem),
 		migrate.DefaultConfig(0x40_0000_0000))
 	mig.SetRemoteGate(brk)
-	if o.Metrics != nil {
-		brk.SetMetrics(o.Metrics.BreakerMetricsFor(cluster.BorrowerID))
-		mig.SetMetrics(o.Metrics.MigrateMetricsFor(cluster.BorrowerID))
-	}
+	o.collectBreaker(tb.K, brk)
+	o.collectMigrator(tb.K, mig)
 	sup.OnStateChange = func(_, to control.LinkState) {
 		if to == control.LinkDead {
 			mig.Degrade()

@@ -45,6 +45,43 @@ func TestOptionsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("bad LLC accepted")
 	}
+	// Geometry cache.New would panic on: no ways, and three sets.
+	bad = Default()
+	bad.LLCWays = 0
+	if err := bad.Validate(); err == nil {
+		t.Error("zero LLC ways accepted")
+	}
+	bad = Default()
+	bad.LLCBytes, bad.LLCWays = 3<<12, 1
+	if err := bad.Validate(); err == nil {
+		t.Error("LLC with a non-power-of-two set count accepted")
+	}
+}
+
+// FuzzOptionsValidate checks that Validate guards every panic a testbed
+// build can reach from the options: whatever it accepts must build a
+// testbed and a remote hierarchy.
+func FuzzOptionsValidate(f *testing.F) {
+	d := Default()
+	f.Add(d.LLCBytes, d.LLCWays, d.StreamElements, d.GraphScale, d.GraphRoots)
+	f.Add(3<<12, 1, d.StreamElements, d.GraphScale, d.GraphRoots)
+	f.Add(64<<10, 0, d.StreamElements, d.GraphScale, d.GraphRoots)
+	f.Add(64<<10, 1<<57, 16, 1, 1)
+	f.Fuzz(func(t *testing.T, llcBytes, llcWays, elements, graphScale, graphRoots int) {
+		o := Default()
+		o.LLCBytes, o.LLCWays = llcBytes, llcWays
+		o.StreamElements, o.GraphScale, o.GraphRoots = elements, graphScale, graphRoots
+		if o.Validate() != nil {
+			return
+		}
+		// An accepted LLC above 16 MiB differs from a smaller one only
+		// in how much the build allocates; skip it to keep executions
+		// small.
+		if o.LLCBytes > 16<<20 {
+			t.Skip()
+		}
+		o.Testbed(1).NewRemoteHierarchy()
+	})
 }
 
 func TestDelayValidationLinearAndBDP(t *testing.T) {

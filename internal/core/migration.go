@@ -2,7 +2,6 @@ package core
 
 import (
 	"thymesim/internal/cache"
-	"thymesim/internal/cluster"
 	"thymesim/internal/memport"
 	"thymesim/internal/metrics"
 	"thymesim/internal/migrate"
@@ -38,9 +37,7 @@ func (o Options) RunMigration(period int64) *MigrationResult {
 		var mig *migrate.Migrator
 		if withMigration {
 			mig = migrate.New(tb.K, backend, memport.NewDRAMBackend(tb.BorrowerMem), migrate.DefaultConfig(0x40_0000_0000))
-			if o.Metrics != nil {
-				mig.SetMetrics(o.Metrics.MigrateMetricsFor(cluster.BorrowerID))
-			}
+			o.collectMigrator(tb.K, mig)
 			backend = mig
 		}
 		h := memport.NewHierarchy(tb.K, cache.New(tb.Config().LLC), backend, tb.Config().MSHRs)

@@ -11,8 +11,11 @@ import (
 	"fmt"
 
 	"thymesim/internal/cluster"
+	"thymesim/internal/control"
 	"thymesim/internal/dram"
 	"thymesim/internal/metricsplane"
+	"thymesim/internal/migrate"
+	"thymesim/internal/sim"
 )
 
 // Options scales the experiments. Defaults run the full suite in seconds
@@ -45,8 +48,8 @@ type Options struct {
 	Workers int
 	// Metrics, when non-nil, attaches the labeled metrics plane to every
 	// testbed and pool the runners build. The plane is shared across
-	// sweep points (instruments with equal labels merge), and it only
-	// observes: simulated results are identical with it on or off.
+	// sweep points (series with equal labels sum), and it only observes:
+	// simulated results are identical with it on or off.
 	Metrics *metricsplane.Plane
 }
 
@@ -101,7 +104,44 @@ func (o Options) Validate() error {
 	if o.LLCBytes < 1<<12 {
 		return fmt.Errorf("core: LLC %d too small", o.LLCBytes)
 	}
-	return nil
+	// The geometry the testbeds will build must be one cache.New accepts.
+	return o.TestbedConfig(1).LLC.Validate()
+}
+
+// collectMigrator publishes the borrower's page migrator counters to the
+// metrics plane at k's publish points (no-op without a plane).
+func (o Options) collectMigrator(k *sim.Kernel, mig *migrate.Migrator) {
+	if o.Metrics == nil {
+		return
+	}
+	l := metricsplane.ForNode(cluster.BorrowerID)
+	o.Metrics.Collect(k, func(pb *metricsplane.Publisher) {
+		st := mig.Stats()
+		pb.Counter("thymesim_migrate_promotions_total", "Pages promoted to local memory.", l, st.Promotions)
+		pb.Counter("thymesim_migrate_degraded_pages_total", "Pages force-localized by degradation.", l, st.DegradedPages)
+		pb.Counter("thymesim_migrate_localized_total", "Accesses served locally post-migration.", l, st.LocalAccesses)
+		pb.Counter("thymesim_migrate_gate_localized_total", "Accesses localized by the admission gate.", l, st.GateLocalized)
+	})
+}
+
+// collectBreaker publishes the borrower's circuit-breaker counters and
+// state to the metrics plane at k's publish points, and hands the breaker
+// the flight-recorder handle for its transitions (no-op without a plane).
+func (o Options) collectBreaker(k *sim.Kernel, brk *control.Breaker) {
+	if o.Metrics == nil {
+		return
+	}
+	l := metricsplane.ForNode(cluster.BorrowerID)
+	brk.SetRecorder(o.Metrics.RecorderFor(cluster.BorrowerID))
+	o.Metrics.Collect(k, func(pb *metricsplane.Publisher) {
+		st := brk.Stats()
+		pb.Gauge("thymesim_breaker_state", "Breaker state (0 closed, 1 open, 2 half-open).", l, float64(brk.State()))
+		pb.Counter("thymesim_breaker_transitions_total", "Breaker state transitions.", l, st.Transitions())
+		pb.Counter("thymesim_breaker_trips_total", "Closed-to-open trips.", l, st.Trips)
+		pb.Counter("thymesim_breaker_reopens_total", "Half-open probes that failed back to open.", l, st.Reopens)
+		pb.Counter("thymesim_breaker_closes_total", "Transitions back to closed.", l, st.Closes)
+		pb.Counter("thymesim_breaker_short_circuited_total", "Accesses fast-failed while open.", l, st.ShortCircuited)
+	})
 }
 
 // Testbed builds the two-node system with the given injector PERIOD and

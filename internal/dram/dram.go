@@ -10,7 +10,6 @@ package dram
 import (
 	"fmt"
 
-	"thymesim/internal/metricsplane"
 	"thymesim/internal/obs"
 	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
@@ -82,10 +81,11 @@ type DRAM struct {
 	reads  uint64
 	writes uint64
 	bytes  uint64
-	mx     *metricsplane.DRAMMetrics // nil when the metrics plane is disabled
 	// free is an intrusive free list of staged access contexts; a
-	// warmed-up DRAM serves requests without allocating.
+	// warmed-up DRAM serves requests without allocating. live counts the
+	// contexts borrowed from it and not yet returned.
 	free *accessCtx
+	live int
 }
 
 // accessCtx carries one in-flight request through the channel's three
@@ -119,13 +119,11 @@ func (c *accessCtx) Handle(stage uint64) {
 			d.reads++
 		}
 		d.bytes += uint64(c.bytes)
-		if d.mx != nil {
-			d.mx.Access(c.write, uint64(c.bytes), d.Utilization())
-		}
 		ch, h, arg := c.ch, c.h, c.arg
 		c.tr, c.h = nil, nil
 		c.next = d.free
 		d.free = c
+		d.live--
 		ch.slots.Release()
 		if h != nil {
 			h.Handle(arg)
@@ -156,10 +154,6 @@ func New(k *sim.Kernel, cfg Config) *DRAM {
 // Config returns the active configuration.
 func (d *DRAM) Config() Config { return d.cfg }
 
-// SetMetrics attaches the metrics plane's per-device access counters and
-// utilization gauge (observe-only; nil disables).
-func (d *DRAM) SetMetrics(m *metricsplane.DRAMMetrics) { d.mx = m }
-
 // SetSlowdown sets the service-time inflation factor (brownout injection):
 // device access latency and bus burst time both scale by it. factor must
 // be >= 1; 1 restores nominal service. It applies to accesses whose
@@ -183,6 +177,10 @@ func (d *DRAM) Writes() uint64 { return d.writes }
 
 // Bytes returns the cumulative bytes transferred.
 func (d *DRAM) Bytes() uint64 { return d.bytes }
+
+// AccessesLive returns the pooled access contexts borrowed and not yet
+// returned: the requests in flight, 0 once the kernel drains.
+func (d *DRAM) AccessesLive() int { return d.live }
 
 // channelFor interleaves cache lines across channels.
 func (d *DRAM) channelFor(addr uint64) *channel {
@@ -226,6 +224,7 @@ func (d *DRAM) AccessSpanH(addr uint64, bytes int, write bool, tr *obs.Tracer, s
 		d.free = c.next
 		c.next = nil
 	}
+	d.live++
 	c.ch, c.bytes, c.write, c.tr, c.sp, c.h, c.arg = ch, bytes, write, tr, sp, h, arg
 	ch.slots.AcquireH(c, 0)
 }

@@ -11,7 +11,6 @@ import (
 	"math/bits"
 
 	"thymesim/internal/axis"
-	"thymesim/internal/metricsplane"
 	"thymesim/internal/netlink"
 	"thymesim/internal/sim"
 )
@@ -97,11 +96,6 @@ type Switch struct {
 	waiting  [][]uint64
 	attached []bool
 
-	// mx holds per-output-port metric bundles; mxDropped the switch-wide
-	// drop counter. Both nil when the metrics plane is disabled.
-	mx        []*metricsplane.SwitchPortMetrics
-	mxDropped *metricsplane.Counter
-
 	// free is an intrusive free list of hop contexts; each beat in the
 	// forwarding pipeline borrows one, so a warmed switch forwards
 	// without allocating.
@@ -131,9 +125,6 @@ func (h *hop) Handle(uint64) {
 	out.Push(b)
 	if out.Len() > s.peakOcc[dst] {
 		s.peakOcc[dst] = out.Len()
-	}
-	if s.mx != nil {
-		s.mx[dst].Forwarded(out.Len(), s.peakOcc[dst])
 	}
 }
 
@@ -206,7 +197,6 @@ func (s *Switch) forwardLoop(port int, in *axis.FIFO, outs []*axis.FIFO) {
 			if dst < 0 || dst >= len(outs) {
 				in.Pop()
 				s.dropped++
-				s.mxDropped.Inc()
 				continue
 			}
 			out := outs[dst]
@@ -246,22 +236,19 @@ func (s *Switch) Forwarded() uint64 { return s.forwarded }
 // Ports returns the number of switch ports.
 func (s *Switch) Ports() int { return s.cfg.Ports }
 
-// SetMetrics attaches per-output-port forward/queue-depth instruments
-// and the switch-wide drop counter (observe-only; empty slice or nil
-// disables).
-func (s *Switch) SetMetrics(ports []*metricsplane.SwitchPortMetrics, dropped *metricsplane.Counter) {
-	if len(ports) != 0 && len(ports) != s.cfg.Ports {
-		panic("fabric: SetMetrics port bundle count mismatch")
-	}
-	s.mx = ports
-	s.mxDropped = dropped
-}
-
 // Dropped returns the number of unroutable beats discarded.
 func (s *Switch) Dropped() uint64 { return s.dropped }
 
 // PeakOccupancy returns the deepest queue observed at the given output.
 func (s *Switch) PeakOccupancy(port int) int { return s.peakOcc[port] }
+
+// PortForwarded returns the beats switched out of the given port. Only
+// the switch pushes to an output queue, so its push count is the port's
+// share of Forwarded.
+func (s *Switch) PortForwarded(port int) uint64 { return s.ports[port].Out.Pushed() }
+
+// QueueDepth returns the given output queue's current depth.
+func (s *Switch) QueueDepth(port int) int { return s.ports[port].Out.Len() }
 
 // NICPorts is the FIFO surface a NIC exposes (satisfied by *tfnic.NIC via
 // its exported TxQ/RxQ fields wrapped by the caller).

@@ -63,8 +63,9 @@ type RemoteBackend struct {
 	pending []*rtxn
 	sendQ   []*rtxn
 	// free recycles transaction contexts so steady-state issues allocate
-	// nothing.
+	// nothing; live counts the contexts borrowed and not yet returned.
 	free *rtxn
+	live int
 
 	// deadline bounds each transaction end to end (issue to response
 	// delivery); 0 disables. An expired transaction completes immediately
@@ -83,8 +84,13 @@ type RemoteBackend struct {
 	expiredUnsent uint64 // expired before ever entering the NIC
 	lateResponses uint64 // responses that arrived after their deadline
 
-	tracer *obs.Tracer               // nil when tracing is disabled
-	mx     *metricsplane.FillMetrics // nil when the metrics plane is disabled
+	tracer *obs.Tracer // nil when tracing is disabled
+	// lat and rec are the metrics plane's per-event instruments: the
+	// fill-latency histogram (nil when the plane is disabled) and the
+	// flight recorder for poisons and expiries. The counters above are
+	// pulled by the plane, not pushed.
+	lat *metricsplane.Histogram
+	rec metricsplane.NodeRecorder
 }
 
 // tagNone marks a transaction that holds no tag yet (still crossing the
@@ -137,7 +143,7 @@ func (t *rtxn) Handle(stage uint64) {
 			// Deadline fired while the command was still crossing the
 			// CPU→NIC hop; the completion already ran. Drop it here.
 			b.expiredUnsent++
-			b.mx.FillExpiredUnsent(b.k.Now().Micros())
+			b.rec.Record(b.k.Now(), metricsplane.EvFillExpiredUnsent, 0)
 			b.recycle(t)
 			return
 		}
@@ -164,9 +170,12 @@ func (t *rtxn) Handle(stage uint64) {
 		b.reads++
 	}
 	ok := !t.poisonedResp
-	if b.mx != nil {
+	if b.lat != nil {
 		now := b.k.Now()
-		b.mx.FillDone(now.Sub(t.issued).Micros(), t.op == ocapi.OpWriteBlock, t.poisonedResp, now.Micros())
+		b.lat.Observe(now.Sub(t.issued).Micros())
+		if !ok {
+			b.rec.Record(now, metricsplane.EvFillPoisoned, 0)
+		}
 	}
 	h, arg := t.h, t.arg
 	b.recycle(t)
@@ -190,6 +199,7 @@ func (b *RemoteBackend) recycle(t *rtxn) {
 	t.h = nil
 	t.next = b.free
 	b.free = t
+	b.live--
 }
 
 // expire completes a transaction poisoned at its deadline. The completion
@@ -205,7 +215,7 @@ func (b *RemoteBackend) expire(t *rtxn) {
 	} else {
 		b.reads++
 	}
-	b.mx.FillExpired(t.op == ocapi.OpWriteBlock, b.k.Now().Micros())
+	b.rec.Record(b.k.Now(), metricsplane.EvFillExpired, 0)
 	h, arg := t.h, t.arg
 	t.h = nil
 	if t.tag == tagNone {
@@ -217,7 +227,7 @@ func (b *RemoteBackend) expire(t *rtxn) {
 				b.sendQ[len(b.sendQ)-1] = nil
 				b.sendQ = b.sendQ[:len(b.sendQ)-1]
 				b.expiredUnsent++
-				b.mx.FillExpiredUnsent(b.k.Now().Micros())
+				b.rec.Record(b.k.Now(), metricsplane.EvFillExpiredUnsent, 0)
 				b.recycle(t)
 				break
 			}
@@ -268,10 +278,13 @@ func NewRemoteBackendTags(k *sim.Kernel, nic Sender, tagBase uint32, tagSpace in
 // attributing.
 func (b *RemoteBackend) SetTracer(tr *obs.Tracer) { b.tracer = tr }
 
-// SetMetrics attaches the metrics plane's remote-fill bundle: latency
-// histogram plus poisoned/expiry counters. A nil bundle (plane
-// disabled) keeps the datapath on its zero-overhead fast path.
-func (b *RemoteBackend) SetMetrics(m *metricsplane.FillMetrics) { b.mx = m }
+// SetMetrics attaches the metrics plane's per-event instruments: the
+// fill-latency histogram and the flight-recorder handle for poisons and
+// expiries. A nil histogram (plane disabled) keeps the datapath on its
+// one-pointer-test fast path.
+func (b *RemoteBackend) SetMetrics(lat *metricsplane.Histogram, rec metricsplane.NodeRecorder) {
+	b.lat, b.rec = lat, rec
+}
 
 // SetDeadline bounds every subsequently issued transaction end to end:
 // a transaction that has not delivered its response within d completes
@@ -337,6 +350,10 @@ func (b *RemoteBackend) ExpiredUnsent() uint64 { return b.expiredUnsent }
 // deadline had already completed it; they were consumed silently.
 func (b *RemoteBackend) LateResponses() uint64 { return b.lateResponses }
 
+// TxnsLive returns the pooled transaction contexts borrowed and not yet
+// returned: 0 once the kernel drains, unless a response was lost.
+func (b *RemoteBackend) TxnsLive() int { return b.live }
+
 // Outstanding returns commands in flight.
 func (b *RemoteBackend) Outstanding() int { return b.tags.Outstanding() }
 
@@ -362,6 +379,7 @@ func (b *RemoteBackend) newTxn(op ocapi.Op, addr uint64, sp obs.SpanID, h sim.Ha
 		b.free = t.next
 		t.next = nil
 	}
+	b.live++
 	t.op, t.addr, t.sp, t.h, t.arg = op, ocapi.LineAlign(addr), sp, h, arg
 	t.tag = tagNone
 	t.expired, t.poisonedResp = false, false
@@ -426,7 +444,7 @@ func (b *RemoteBackend) Deliver(p ocapi.Packet) {
 		// Already completed poisoned at its deadline; the straggler is
 		// consumed silently (Handle(1) settles the tag and context).
 		b.lateResponses++
-		b.mx.FillLate(b.k.Now().Micros())
+		b.rec.Record(b.k.Now(), metricsplane.EvFillLate, 0)
 	} else {
 		t.poisonedResp = p.Poison || p.Op == ocapi.OpNack
 		if t.poisonedResp {

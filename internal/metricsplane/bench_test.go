@@ -1,103 +1,67 @@
 package metricsplane
 
-import "testing"
+import (
+	"testing"
 
-// The plane's contract is that instrumentation is free when disabled and
-// allocation-free when enabled: a nil bundle costs one pointer test, a
-// live one only atomics (plus a fixed-ring recorder write on rare
-// events). TestHotPathAllocs enforces the alloc half of the contract;
-// the benchmarks quantify the per-op cost.
+	"thymesim/internal/sim"
+)
+
+// The plane's contract is that observing is free when disabled and
+// allocation-free when enabled: a nil histogram or zero recorder costs
+// one test, a live one only atomics (plus a fixed-ring recorder write on
+// rare events), and a steady publishing pass only reads its series.
+// TestHotPathAllocs enforces the alloc half of the contract; the
+// benchmarks quantify the per-op cost.
+
+// benchCollector publishes n counters and n gauges per pass, like a pool
+// collector over n nodes.
+func benchCollector(n int, v *uint64) func(*Publisher) {
+	return func(pb *Publisher) {
+		for i := 0; i < n; i++ {
+			l := ForNode(i)
+			pb.Counter("thymesim_bench_total", "b", l, *v)
+			pb.Gauge("thymesim_bench_gauge", "g", l, float64(*v))
+		}
+	}
+}
 
 func TestHotPathAllocs(t *testing.T) {
 	p := New()
-	fill := p.FillMetricsFor(0, "")
-	arq := p.ARQMetricsFor(0)
-	nic := p.NICMetricsFor(0)
-	link := p.LinkMetricsFor(0, 0)
-	dram := p.DRAMMetricsFor(0)
-	cch := p.CacheMetricsFor(0)
-	alloc := p.AllocMetricsFor(0)
-	brk := p.BreakerMetricsFor(0)
-	var nilFill *FillMetrics
-
-	sw := p.SwitchPortMetricsFor(0)
-	mig := p.MigrateMetricsFor(0)
+	lat := p.FillLatency(0, "")
+	rec := p.RecorderFor(0)
+	var nilLat *Histogram
+	k := sim.NewKernel()
+	var v uint64
+	p.Collect(k, benchCollector(16, &v))
 
 	cases := []struct {
 		name string
 		op   func()
 	}{
-		{"nil FillDone", func() { nilFill.FillDone(1, false, false, 0) }},
-		{"FillDone", func() { fill.FillDone(12.5, false, false, 1) }},
-		{"FillDone poisoned", func() { fill.FillDone(12.5, false, true, 1) }},
-		{"FillDone write", func() { fill.FillDone(12.5, true, false, 1) }},
-		{"FillExpired", func() { fill.FillExpired(true, 2) }},
-		{"FillExpiredUnsent", func() { fill.FillExpiredUnsent(2) }},
-		{"FillLate", func() { fill.FillLate(2) }},
-		{"ARQ Tracked", arq.Tracked},
-		{"ARQ Completed", arq.Completed},
-		{"ARQ Timeout", arq.Timeout},
-		{"ARQ NackRetry", arq.NackRetry},
-		{"ARQ StaleDrop", arq.StaleDrop},
-		{"ARQ Retransmit", func() { arq.Retransmit(7, 3) }},
-		{"ARQ Dead", func() { arq.Dead(7, 3) }},
-		{"ARQ CorruptResp", func() { arq.CorruptResp(3) }},
-		{"NIC RequestSent", nic.RequestSent},
-		{"NIC ResponseSent", nic.ResponseSent},
-		{"NIC RequestServed", nic.RequestServed},
-		{"NIC ResponseDelivered", nic.ResponseDelivered},
-		{"NIC ProbeServed", nic.ProbeServed},
-		{"NIC TranslationFault", nic.TranslationFault},
-		{"NIC NackSent", nic.NackSent},
-		{"NIC CrashDrop", func() { nic.CrashDrop(4) }},
-		{"NIC ServeLost", func() { nic.ServeLost(4) }},
-		{"NIC WipeNack", func() { nic.WipeNack(4) }},
-		{"Link Delivered", func() { link.Delivered(64, 0.5) }},
-		{"Switch Forwarded", func() { sw.Forwarded(2, 5) }},
-		{"DRAM Access", func() { dram.Access(true, 64, 0.25) }},
-		{"Cache Access", func() { cch.Access(false, true, true) }},
-		{"Cache hit", func() { cch.Access(true, false, false) }},
-		{"Alloc Update", func() { alloc.Update(1<<30, 1<<20, 1<<29, 1<<28, 3) }},
-		{"Alloc Update empty", func() { alloc.Update(1<<30, 1<<30, 0, 0, 0) }},
-		{"Breaker Transition trip", func() { brk.Transition(0, 1, 4) }},
-		{"Breaker Transition probe", func() { brk.Transition(1, 2, 5) }},
-		{"Breaker Transition reopen", func() { brk.Transition(2, 1, 6) }},
-		{"Breaker Transition close", func() { brk.Transition(2, 0, 7) }},
-		{"Breaker ShortCircuit", brk.ShortCircuit},
-		{"Migrate Promotion", mig.Promotion},
-		{"Migrate Degraded", func() { mig.Degraded(3) }},
-		{"Migrate Localized", mig.Localized},
-		{"Migrate GateLocalized", mig.GateLocalized},
+		{"nil histogram", func() { nilLat.Observe(12.5) }},
+		{"fill latency", func() { lat.Observe(12.5) }},
+		{"zero recorder", func() { NodeRecorder{}.Record(1, EvFillPoisoned, 0) }},
+		{"recorder", func() { rec.Record(1, EvARQRetransmit, 7) }},
+		{"publish pass", func() { v++; k.Publish() }},
+		{"run with collector", func() { v++; k.Run() }},
 	}
 	for _, c := range cases {
-		c.op() // warm: first recorder write may grow nothing, but be safe
+		c.op() // warm: the first pass may register series
 		if n := testing.AllocsPerRun(100, c.op); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
 		}
 	}
 }
 
-func BenchmarkFillDoneNil(b *testing.B) {
-	var m *FillMetrics
+func BenchmarkPublish64(b *testing.B) {
+	p := New()
+	k := sim.NewKernel()
+	var v uint64
+	p.Collect(k, benchCollector(64, &v))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.FillDone(12.5, false, false, 1)
-	}
-}
-
-func BenchmarkFillDone(b *testing.B) {
-	m := New().FillMetricsFor(0, "")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.FillDone(12.5, false, false, 1)
-	}
-}
-
-func BenchmarkFillDonePoisoned(b *testing.B) {
-	m := New().FillMetricsFor(0, "")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.FillDone(12.5, false, true, 1)
+		v++
+		k.Publish()
 	}
 }
 

@@ -7,13 +7,18 @@
 // Design constraints, in priority order (the same contract as the span
 // tracer in internal/obs):
 //
-//  1. Zero cost when disabled. Components hold possibly-nil instrument
-//     bundles whose methods are nil-receiver no-ops, so the disabled
-//     datapath pays one pointer test per event and allocates nothing —
+//  1. One counter store, pulled at safe points. Components hold no metric
+//     handles: their own Stats structs and getters are the only counts.
+//     The plane pulls them through collectors (Collect) at drain
+//     boundaries — whenever Run, RunUntil or StepTo returns — and at
+//     WindowStream ticks, so a live scrape sees a run's counters when a
+//     run, phase or window ends. Only per-event data is pushed: the
+//     fill-latency histogram and the flight recorder, each one nil check
+//     when the plane is off. Publishing allocates nothing once warm, so
 //     the warmed remote-fill path stays at 0 allocs/op.
-//  2. Observation only. Instruments never schedule events, draw
-//     randomness, or touch component state: simulated results are
-//     bit-identical with the plane on or off.
+//  2. Observation only. Collectors and instruments never schedule
+//     events, draw randomness, or touch component state: simulated
+//     results are bit-identical with the plane on or off.
 //  3. Scrape-safe under concurrency. Metric values are atomics, so an
 //     HTTP exposition goroutine can read mid-run while any number of
 //     sweep workers (each owning its kernel) write. Points that share a

@@ -3,9 +3,12 @@ package metricsplane
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"thymesim/internal/sim"
 )
 
 func TestLabelsRenderInSchemaOrder(t *testing.T) {
@@ -245,53 +248,51 @@ func TestNilPlaneAndInstrumentsAreInert(t *testing.T) {
 	if p.Snapshot() != nil || p.Registry() != nil || p.Recorder() != nil {
 		t.Fatal("nil plane leaked state")
 	}
-	if p.FillMetricsFor(0, "") != nil || p.ARQMetricsFor(0) != nil || p.NICMetricsFor(0) != nil ||
-		p.BreakerMetricsFor(0) != nil || p.AllocMetricsFor(0) != nil || p.LinkMetricsFor(0, 0) != nil ||
-		p.SwitchPortMetricsFor(0) != nil || p.DRAMMetricsFor(0) != nil || p.CacheMetricsFor(0) != nil ||
-		p.MigrateMetricsFor(0) != nil {
+	if p.FillLatency(0, "") != nil || p.StageObserver(0, []string{"port"}) != nil {
 		t.Fatal("nil plane built instruments")
 	}
+	if p.RecorderFor(0) != (NodeRecorder{}) {
+		t.Fatal("nil plane handed out a live recorder")
+	}
+	k := sim.NewKernel()
+	ran := false
+	p.Collect(k, func(*Publisher) { ran = true })
+	k.Run()
+	if ran {
+		t.Fatal("nil plane ran a collector")
+	}
 
-	// Nil bundles absorb every call.
-	var fm *FillMetrics
-	fm.FillDone(1, false, false, 0)
-	fm.FillExpired(false, 0)
-	fm.FillExpiredUnsent(0)
-	fm.FillLate(0)
-	var am *ARQMetrics
-	am.Tracked()
-	am.Completed()
-	am.Retransmit(1, 0)
-	am.Dead(1, 0)
-	var nm *NICMetrics
-	nm.RequestSent()
-	nm.CrashDrop(0)
-	var bm *BreakerMetrics
-	bm.Transition(0, 1, 0)
-	bm.ShortCircuit()
-	var alm *AllocMetrics
-	alm.Update(1, 0, 1, 1, 1)
-	var lm *LinkMetrics
-	lm.Delivered(64, 0.5)
-	var sm *SwitchPortMetrics
-	sm.Forwarded(1, 2)
-	var dm *DRAMMetrics
-	dm.Access(false, 64, 0.1)
-	var cm *CacheMetrics
-	cm.Access(true, false, false)
-	var mm *MigrateMetrics
-	mm.Promotion()
-	mm.Degraded(1)
+	// Nil and zero push handles absorb every call.
+	var h *Histogram
+	h.Observe(1)
+	NodeRecorder{}.Record(0, EvFillPoisoned, 0)
+	if h.Count() != 0 {
+		t.Fatal("nil histogram counted")
+	}
+}
+
+// fillCollector publishes node 0's fill counters from plain fields, the
+// way cluster.Pool's collector publishes a backend's getters.
+func fillCollector(reads, poisoned *uint64) func(*Publisher) {
+	return func(pb *Publisher) {
+		l := ForNode(0)
+		pb.Counter("thymesim_fill_reads_total", "Completed remote read fills.", l, *reads)
+		pb.Counter("thymesim_fill_poisoned_total", "Poisoned fills.", l, *poisoned)
+	}
 }
 
 func TestPlaneSLOTracking(t *testing.T) {
 	p := New()
 	p.SetSLO(SLOConfig{FillP99Us: 10, PoisonedBudget: 0.1})
-	fm := p.FillMetricsFor(0, "")
-	for i := 0; i < 99; i++ {
-		fm.FillDone(1, false, false, float64(i))
+	k := sim.NewKernel()
+	var reads, poisoned uint64
+	p.Collect(k, fillCollector(&reads, &poisoned))
+	lat := p.FillLatency(0, "")
+	for i := 0; i < 100; i++ {
+		lat.Observe(1)
 	}
-	fm.FillDone(1, false, true, 99) // one poisoned fill: 1% of 100
+	reads, poisoned = 100, 1 // one poisoned fill: 1% of 100
+	k.Run()
 	slo := p.SLO()
 	if len(slo) != 1 {
 		t.Fatalf("%d SLO rows", len(slo))
@@ -321,14 +322,82 @@ func TestDumpOnAuditFailureWritesRecorderAndSLO(t *testing.T) {
 	p := New()
 	var buf bytes.Buffer
 	p.SetDumpWriter(&buf)
-	fm := p.FillMetricsFor(1, "")
-	fm.FillDone(3, false, true, 42)
+	p.FillLatency(1, "").Observe(3)
+	p.RecorderFor(1).Record(42*sim.Time(sim.Microsecond), EvFillPoisoned, 0)
 	p.DumpOnAuditFailure("unit", []string{"thing broke"})
 	out := buf.String()
-	for _, want := range []string{"campaign=\"unit\"", "violation: thing broke", EvFillPoisoned, "slo node=1"} {
+	for _, want := range []string{"campaign=\"unit\"", "violation: thing broke", EvFillPoisoned, `"t_us":42`, "slo node=1"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCollectPublishesDeltas pins the pull path: the baseline pass counts
+// nothing, later passes add deltas at the kernel's publish points only,
+// collectors sharing a label set sum, a series that appears mid-order is
+// picked up, and gauges read the value at publish time.
+func TestCollectPublishesDeltas(t *testing.T) {
+	p := New()
+	var a, b, extra uint64 = 5, 7, 0
+	var gauge float64
+	withExtra := false
+	collector := func(v *uint64) func(*Publisher) {
+		return func(pb *Publisher) {
+			pb.Counter("thymesim_x_total", "x", ForNode(0), *v)
+			if withExtra {
+				pb.Counter("thymesim_x_total", "x", ForNode(1), extra)
+			}
+			pb.Gauge("thymesim_g", "g", ForNode(0), gauge)
+			pb.Counter("thymesim_y_total", "y", ForNode(0), *v)
+		}
+	}
+	k1, k2 := sim.NewKernel(), sim.NewKernel()
+	p.Collect(k1, collector(&a))
+	p.Collect(k2, collector(&b))
+	value := func(name string, node int) float64 {
+		t.Helper()
+		v, ok := parseSnapshot(t, p).Value(name, map[string]string{"node": fmt.Sprint(node)})
+		if !ok {
+			t.Fatalf("%s{node=%d} not exported", name, node)
+		}
+		return v
+	}
+	if v := value("thymesim_x_total", 0); v != 0 {
+		t.Fatalf("baseline pass counted %v", v)
+	}
+
+	a, b, gauge = 8, 10, 2.5
+	if v := value("thymesim_x_total", 0); v != 0 {
+		t.Fatalf("counted %v before any publish point", v)
+	}
+	k1.After(sim.Microsecond, func() {})
+	k1.Run()
+	if v := value("thymesim_x_total", 0); v != 3 {
+		t.Fatalf("after k1 run: %v, want 3", v)
+	}
+	if k1.Now() != sim.Time(sim.Microsecond) || k1.Pending() != 0 {
+		t.Fatalf("publishing moved the clock or scheduled: now %v pending %d", k1.Now(), k1.Pending())
+	}
+	k2.StepTo(sim.Time(sim.Millisecond))
+	if v := value("thymesim_x_total", 0); v != 6 {
+		t.Fatalf("two collectors sharing labels: %v, want 6", v)
+	}
+	if v := value("thymesim_g", 0); v != 2.5 {
+		t.Fatalf("gauge %v, want 2.5", v)
+	}
+
+	withExtra, extra, a = true, 4, 9
+	k1.RunUntil(sim.Time(sim.Millisecond))
+	if v := value("thymesim_x_total", 1); v != 4 {
+		t.Fatalf("series appearing mid-order: %v, want 4", v)
+	}
+	if x, y := value("thymesim_x_total", 0), value("thymesim_y_total", 0); x != 7 || y != 7 {
+		t.Fatalf("after reorder x=%v y=%v, want 7 and 7", x, y)
+	}
+	k1.Publish() // nothing changed: nothing added
+	if v := value("thymesim_y_total", 0); v != 7 {
+		t.Fatalf("idle publish changed a counter: %v", v)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"thymesim/internal/metricsplane"
+	"thymesim/internal/sim"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (string, *http.Response) {
@@ -31,9 +32,23 @@ func TestMonitorEndpoints(t *testing.T) {
 	p.SetPhase("scraping")
 	p.SweepPlanned(4)
 	p.SweepPointDone()
-	fm := p.FillMetricsFor(0, "")
-	fm.FillDone(12.5, false, false, 1)
-	fm.FillDone(14, true, true, 2)
+	// Two fills on node 0, one of them a poisoned write: the latency
+	// histogram and recorder are pushed, the counters pulled when the
+	// kernel returns.
+	k := sim.NewKernel()
+	var reads, writes, poisoned uint64
+	p.Collect(k, func(pb *metricsplane.Publisher) {
+		l := metricsplane.ForNode(0)
+		pb.Counter("thymesim_fill_reads_total", "Reads.", l, reads)
+		pb.Counter("thymesim_fill_writes_total", "Writes.", l, writes)
+		pb.Counter("thymesim_fill_poisoned_total", "Poisoned.", l, poisoned)
+	})
+	lat := p.FillLatency(0, "")
+	lat.Observe(12.5)
+	lat.Observe(14)
+	p.RecorderFor(0).Record(2*sim.Time(sim.Microsecond), metricsplane.EvFillPoisoned, 0)
+	reads, writes, poisoned = 1, 1, 1
+	k.Run()
 
 	srv := httptest.NewServer(Handler(p))
 	defer srv.Close()

@@ -10,15 +10,15 @@ import (
 )
 
 // Plane bundles one run's registry, flight recorder, SLO tracking, and
-// run status. A nil *Plane disables everything: factory methods return
-// nil instrument bundles whose methods are no-ops.
+// run status. A nil *Plane disables everything: Collect registers
+// nothing, and the push handles it returns are nil or inert.
 type Plane struct {
 	reg *Registry
 	rec *FlightRecorder
 
 	mu        sync.Mutex
 	slo       SLOConfig
-	fills     map[int]*FillMetrics // node -> fill bundle, for SLO eval
+	fills     map[int]*Histogram // node -> shared-port fill latency, for SLO eval
 	run       string
 	phase     string
 	started   time.Time
@@ -39,7 +39,7 @@ func New() *Plane {
 		reg:     NewRegistry(),
 		rec:     NewFlightRecorder(0),
 		slo:     DefaultSLOConfig(),
-		fills:   make(map[int]*FillMetrics),
+		fills:   make(map[int]*Histogram),
 		started: time.Now(),
 		dumpTo:  os.Stderr,
 	}
@@ -126,194 +126,30 @@ func (p *Plane) SweepPointDone() {
 	}
 }
 
-// --- instrument factories -------------------------------------------------
+// --- push instruments -----------------------------------------------------
 //
-// Each factory resolves every handle once under the registry lock and
-// returns a bundle the component keeps. Factories are idempotent in
-// effect: two bundles built with the same labels share the underlying
-// metric children, so concurrent sweep points merge.
+// Counters and gauges are pulled (see Collect). Only per-event data is
+// pushed: the fill-latency histogram, the stage rollups of the span
+// tracer, and the flight recorder (RecorderFor).
 
-// FillMetricsFor builds the remote-fill bundle for a borrower node.
-func (p *Plane) FillMetricsFor(node int, tenant string) *FillMetrics {
+// FillLatency returns the end-to-end remote-fill latency histogram for a
+// borrower's backend. Backends with equal labels share it, so concurrent
+// sweep points merge. The node's shared port (tenant "") is the one the
+// SLO tracker follows.
+func (p *Plane) FillLatency(node int, tenant string) *Histogram {
 	if p == nil {
 		return nil
 	}
-	l := ForNode(node).WithTenant(tenant)
-	m := &FillMetrics{
-		node:     node,
-		latency:  p.reg.Histogram("thymesim_fill_latency_us", "End-to-end remote-fill latency in microseconds.", l),
-		reads:    p.reg.Counter("thymesim_fill_reads_total", "Completed remote read fills.", l),
-		writes:   p.reg.Counter("thymesim_fill_writes_total", "Completed remote write fills.", l),
-		poisoned: p.reg.Counter("thymesim_fill_poisoned_total", "Fills completed poisoned (CRC-dead or deadline-expired).", l),
-		expired:  p.reg.Counter("thymesim_fill_deadline_expired_total", "Fills that hit their end-to-end deadline.", l),
-		unsent:   p.reg.Counter("thymesim_fill_expired_unsent_total", "Queued sends withdrawn at deadline expiry.", l),
-		late:     p.reg.Counter("thymesim_fill_late_responses_total", "Straggler responses for already-expired fills.", l),
-		rec:      p.rec,
-	}
+	h := p.reg.Histogram("thymesim_fill_latency_us", "End-to-end remote-fill latency in microseconds.", ForNode(node).WithTenant(tenant))
 	if tenant == "" {
 		p.mu.Lock()
-		if _, ok := p.fills[node]; !ok {
-			p.fills[node] = m
-		}
+		p.fills[node] = h
 		p.mu.Unlock()
 	}
-	return m
+	return h
 }
 
-// ARQMetricsFor builds the ARQ bundle for a borrower node.
-func (p *Plane) ARQMetricsFor(node int) *ARQMetrics {
-	if p == nil {
-		return nil
-	}
-	l := ForNode(node)
-	return &ARQMetrics{
-		node:        node,
-		tracked:     p.reg.Counter("thymesim_arq_tracked_total", "Transactions entering ARQ tracking.", l),
-		completed:   p.reg.Counter("thymesim_arq_completed_total", "Transactions acknowledged and released.", l),
-		retransmits: p.reg.Counter("thymesim_arq_retransmits_total", "ARQ retransmissions.", l),
-		nackRetries: p.reg.Counter("thymesim_arq_nack_retries_total", "Nack-triggered retries.", l),
-		timeouts:    p.reg.Counter("thymesim_arq_timeouts_total", "Retransmit-timer expiries.", l),
-		dead:        p.reg.Counter("thymesim_arq_dead_total", "Transactions that exhausted their retry budget.", l),
-		staleDrops:  p.reg.Counter("thymesim_arq_stale_drops_total", "Responses dropped for stale sequence or tag.", l),
-		corrupt:     p.reg.Counter("thymesim_arq_corrupt_responses_total", "Responses dropped for CRC corruption.", l),
-		rec:         p.rec,
-	}
-}
-
-// NICMetricsFor builds the packet-plane bundle for a NIC node.
-func (p *Plane) NICMetricsFor(node int) *NICMetrics {
-	if p == nil {
-		return nil
-	}
-	l := ForNode(node)
-	return &NICMetrics{
-		node:               node,
-		requestsSent:       p.reg.Counter("thymesim_nic_requests_sent_total", "Egress requests put on the wire.", l),
-		responsesSent:      p.reg.Counter("thymesim_nic_responses_sent_total", "Egress responses.", l),
-		requestsServed:     p.reg.Counter("thymesim_nic_requests_served_total", "Lender-side serve completions.", l),
-		responsesDelivered: p.reg.Counter("thymesim_nic_responses_delivered_total", "Ingress responses delivered to the port.", l),
-		probesServed:       p.reg.Counter("thymesim_nic_probes_served_total", "OpProbes answered.", l),
-		translationFaults:  p.reg.Counter("thymesim_nic_translation_faults_total", "Egress address-translation misses.", l),
-		nacksSent:          p.reg.Counter("thymesim_nic_nacks_sent_total", "Nack responses sent.", l),
-		crashDrops:         p.reg.Counter("thymesim_nic_crash_drops_total", "Packets black-holed by a crashed NIC.", l),
-		servesLost:         p.reg.Counter("thymesim_nic_serves_lost_total", "In-flight serves lost to a crash epoch.", l),
-		wipeNacks:          p.reg.Counter("thymesim_nic_wipe_nacks_total", "Block ops nacked by a wiped window.", l),
-		rec:                p.rec,
-	}
-}
-
-// BreakerMetricsFor builds the circuit-breaker bundle for a node.
-func (p *Plane) BreakerMetricsFor(node int) *BreakerMetrics {
-	if p == nil {
-		return nil
-	}
-	l := ForNode(node)
-	return &BreakerMetrics{
-		node:           node,
-		state:          p.reg.Gauge("thymesim_breaker_state", "Breaker state (0 closed, 1 open, 2 half-open).", l),
-		transitions:    p.reg.Counter("thymesim_breaker_transitions_total", "Breaker state transitions.", l),
-		trips:          p.reg.Counter("thymesim_breaker_trips_total", "Closed-to-open trips.", l),
-		reopens:        p.reg.Counter("thymesim_breaker_reopens_total", "Half-open probes that failed back to open.", l),
-		closes:         p.reg.Counter("thymesim_breaker_closes_total", "Transitions back to closed.", l),
-		shortCircuited: p.reg.Counter("thymesim_breaker_short_circuited_total", "Accesses fast-failed while open.", l),
-		rec:            p.rec,
-	}
-}
-
-// AllocMetricsFor builds the allocator bundle for a lender index.
-func (p *Plane) AllocMetricsFor(lender int) *AllocMetrics {
-	if p == nil {
-		return nil
-	}
-	l := NewLabels().WithLender(lender)
-	return &AllocMetrics{
-		capacity:      p.reg.Gauge("thymesim_alloc_capacity_bytes", "Lender lendable capacity.", l),
-		allocated:     p.reg.Gauge("thymesim_alloc_allocated_bytes", "Bytes currently allocated.", l),
-		freeBytes:     p.reg.Gauge("thymesim_alloc_free_bytes", "Bytes currently free.", l),
-		freeSpans:     p.reg.Gauge("thymesim_alloc_free_spans", "Free spans after coalescing.", l),
-		largestFree:   p.reg.Gauge("thymesim_alloc_largest_free_bytes", "Largest single free span.", l),
-		fragmentation: p.reg.Gauge("thymesim_alloc_fragmentation", "1 - largest_free/free_bytes (0 when coalesced or empty).", l),
-	}
-}
-
-// LinkMetricsFor builds the channel bundle for a directed link. node is
-// the transmitting endpoint; link identifies the cable or switch port.
-func (p *Plane) LinkMetricsFor(node, link int) *LinkMetrics {
-	if p == nil {
-		return nil
-	}
-	l := ForNode(node).WithLink(link)
-	return &LinkMetrics{
-		delivered:   p.reg.Counter("thymesim_link_flits_delivered_total", "Flits delivered on this directed channel.", l),
-		bytes:       p.reg.Counter("thymesim_link_bytes_total", "Bytes delivered on this directed channel.", l),
-		utilization: p.reg.Gauge("thymesim_link_utilization", "Wire busy fraction since start.", l),
-	}
-}
-
-// SwitchPortMetricsFor builds the bundle for one switch output port.
-func (p *Plane) SwitchPortMetricsFor(port int) *SwitchPortMetrics {
-	if p == nil {
-		return nil
-	}
-	l := NewLabels().WithLink(port)
-	return &SwitchPortMetrics{
-		forwarded: p.reg.Counter("thymesim_switch_forwarded_total", "Buffers forwarded out this port.", l),
-		depth:     p.reg.Gauge("thymesim_switch_queue_depth", "Output queue depth at last forward.", l),
-		peak:      p.reg.Gauge("thymesim_switch_peak_queue_depth", "Peak output queue depth.", l),
-	}
-}
-
-// SwitchDropCounter builds the switch-wide drop counter.
-func (p *Plane) SwitchDropCounter() *Counter {
-	if p == nil {
-		return nil
-	}
-	return p.reg.Counter("thymesim_switch_dropped_total", "Buffers dropped at full output queues.", NewLabels())
-}
-
-// DRAMMetricsFor builds the DRAM bundle for a node.
-func (p *Plane) DRAMMetricsFor(node int) *DRAMMetrics {
-	if p == nil {
-		return nil
-	}
-	l := ForNode(node)
-	return &DRAMMetrics{
-		reads:       p.reg.Counter("thymesim_dram_reads_total", "DRAM read accesses completed.", l),
-		writes:      p.reg.Counter("thymesim_dram_writes_total", "DRAM write accesses completed.", l),
-		bytes:       p.reg.Counter("thymesim_dram_bytes_total", "Bytes moved through DRAM.", l),
-		utilization: p.reg.Gauge("thymesim_dram_utilization", "Mean channel busy fraction since start.", l),
-	}
-}
-
-// CacheMetricsFor builds the LLC bundle for a node.
-func (p *Plane) CacheMetricsFor(node int) *CacheMetrics {
-	if p == nil {
-		return nil
-	}
-	l := ForNode(node)
-	return &CacheMetrics{
-		hits:       p.reg.Counter("thymesim_llc_hits_total", "LLC hits.", l),
-		misses:     p.reg.Counter("thymesim_llc_misses_total", "LLC misses.", l),
-		evictions:  p.reg.Counter("thymesim_llc_evictions_total", "LLC evictions.", l),
-		writebacks: p.reg.Counter("thymesim_llc_writebacks_total", "Dirty-line writebacks.", l),
-	}
-}
-
-// MigrateMetricsFor builds the migrator bundle for a node.
-func (p *Plane) MigrateMetricsFor(node int) *MigrateMetrics {
-	if p == nil {
-		return nil
-	}
-	l := ForNode(node)
-	return &MigrateMetrics{
-		promotions:    p.reg.Counter("thymesim_migrate_promotions_total", "Pages promoted to local memory.", l),
-		degradedPages: p.reg.Counter("thymesim_migrate_degraded_pages_total", "Pages force-localized by degradation.", l),
-		localized:     p.reg.Counter("thymesim_migrate_localized_total", "Accesses served locally post-migration.", l),
-		gateLocalized: p.reg.Counter("thymesim_migrate_gate_localized_total", "Accesses localized by the admission gate.", l),
-	}
-}
-
-// StageCounters resolves the per-stage rollup handles for a node. The
+// StageObserver resolves the per-stage rollup handles for a node. The
 // returned closure is handed to obs.Tracer.SetStageObserver; it indexes
 // by stage name into pre-resolved handles, so observing stays lock-free
 // and allocation-free.
@@ -381,7 +217,7 @@ func (p *Plane) SLO() []SLOStatus {
 	for n := range p.fills {
 		nodes = append(nodes, n)
 	}
-	fills := make([]*FillMetrics, 0, len(nodes))
+	fills := make([]*Histogram, 0, len(nodes))
 	sort.Ints(nodes)
 	for _, n := range nodes {
 		fills = append(fills, p.fills[n])
@@ -389,17 +225,18 @@ func (p *Plane) SLO() []SLOStatus {
 	p.mu.Unlock()
 
 	out := make([]SLOStatus, 0, len(fills))
-	for i, m := range fills {
-		total := m.reads.Value() + m.writes.Value()
+	for i, lat := range fills {
+		l := ForNode(nodes[i])
+		total := p.reg.counterValue("thymesim_fill_reads_total", l) + p.reg.counterValue("thymesim_fill_writes_total", l)
 		st := SLOStatus{
 			Node:        nodes[i],
 			Fills:       total,
-			FillP99Us:   m.latency.Quantile(0.99),
+			FillP99Us:   lat.Quantile(0.99),
 			TargetP99Us: cfg.FillP99Us,
 		}
 		st.LatencyOK = st.FillP99Us <= cfg.FillP99Us
 		if total > 0 {
-			st.PoisonedFraction = float64(m.poisoned.Value()) / float64(total)
+			st.PoisonedFraction = float64(p.reg.counterValue("thymesim_fill_poisoned_total", l)) / float64(total)
 		}
 		st.PoisonedBudget = cfg.PoisonedBudget
 		if cfg.PoisonedBudget > 0 {

@@ -94,6 +94,18 @@ func (r *Registry) Counter(name, help string, l Labels) *Counter {
 	return c
 }
 
+// counterValue reads the counter (name, labels) without creating it: 0
+// when the family or child does not exist.
+func (r *Registry) counterValue(name string, l Labels) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.families[name]
+	if !ok || f.kind != KindCounter {
+		return 0
+	}
+	return f.counters[l].Value()
+}
+
 // FloatCounter returns the float counter for (name, labels).
 func (r *Registry) FloatCounter(name, help string, l Labels) *FloatCounter {
 	r.mu.Lock()

@@ -10,12 +10,13 @@ import (
 )
 
 // WindowStream performs simulated-time windowed aggregation: bound to
-// one kernel, it snapshots the registry every window and emits one
-// NDJSON line per changed series, carrying the simulated timestamp and
-// the per-window delta for counters and histograms. Because windows ride
-// the kernel's own Ticker, the emitted timeline is deterministic for a
-// given run; the writer is mutex-protected so several kernels (sweep
-// workers) can share one output stream.
+// one kernel, it runs the kernel's collectors (Collect), snapshots the
+// registry every window, and emits one NDJSON line per changed series,
+// carrying the simulated timestamp and the per-window delta for counters
+// and histograms. Because windows ride the kernel's own Ticker, the
+// emitted timeline is deterministic for a given run; the writer is
+// mutex-protected so several kernels (sweep workers) can share one output
+// stream.
 type WindowStream struct {
 	plane  *Plane
 	mu     *sync.Mutex
@@ -63,6 +64,7 @@ func (p *Plane) StreamWindows(k *sim.Kernel, window sim.Duration, w io.Writer) *
 		if ws.stop {
 			return false
 		}
+		k.Publish()
 		ws.emit(k.Now().Micros())
 		return true
 	})

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"thymesim/internal/memport"
-	"thymesim/internal/metricsplane"
 	"thymesim/internal/obs"
 	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
@@ -109,7 +108,6 @@ type Migrator struct {
 	deadRanges []addrRange
 	gate       Gate
 	stats      Stats
-	mx         *metricsplane.MigrateMetrics // nil when the metrics plane is disabled
 }
 
 // addrRange is a half-open [base, end) address range.
@@ -138,10 +136,6 @@ func New(k *sim.Kernel, remote, local memport.LineBackend, cfg Config) *Migrator
 
 // Stats returns the counters so far.
 func (m *Migrator) Stats() Stats { return m.stats }
-
-// SetMetrics attaches the metrics plane's migration counters
-// (observe-only; nil disables).
-func (m *Migrator) SetMetrics(mx *metricsplane.MigrateMetrics) { m.mx = mx }
 
 // Resident returns the number of promoted pages.
 func (m *Migrator) Resident() int { return m.resident }
@@ -238,16 +232,13 @@ func (m *Migrator) route(addr uint64) (uint64, bool) {
 		if m.degraded || m.rangeDegraded(addr) {
 			m.localize(st)
 			m.stats.DegradedPages++
-			m.mx.Degraded(1)
 		} else if m.gate != nil && !m.gate.Allow() {
 			m.localize(st)
 			m.stats.GateLocalized++
-			m.mx.GateLocalized()
 		}
 	}
 	if st.local {
 		m.stats.LocalAccesses++
-		m.mx.Localized()
 		return st.frame + (addr & uint64(m.cfg.PageBytes-1)), true
 	}
 	m.stats.RemoteAccesses++
@@ -303,6 +294,5 @@ func (m *Migrator) promote(pg uint64, st *pageState) {
 		st.local = true
 		st.frame = frame
 		m.stats.Promotions++
-		m.mx.Promotion()
 	})
 }

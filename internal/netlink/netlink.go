@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"thymesim/internal/axis"
-	"thymesim/internal/metricsplane"
 	"thymesim/internal/sim"
 )
 
@@ -33,11 +32,13 @@ type Channel struct {
 	propagation sim.Duration
 	bytesPerSec float64
 	armed       bool
-	inflight    int // beats past the wire, still propagating
+	// inflight counts the beats taken off the TX FIFO and not yet
+	// delivered; each rides a wire context borrowed from free, so it is
+	// also the pool's live count.
+	inflight int
 
 	delivered uint64
 	bytes     uint64
-	mx        *metricsplane.LinkMetrics // nil when the metrics plane is disabled
 	// free is an intrusive free list of per-beat wire contexts; a warmed-up
 	// channel serves and propagates without allocating.
 	free *wireFlight
@@ -67,9 +68,6 @@ func (f *wireFlight) Handle(stage uint64) {
 	c.inflight--
 	c.delivered++
 	c.bytes += uint64(f.b.Bytes)
-	if c.mx != nil {
-		c.mx.Delivered(uint64(f.b.Bytes), c.wire.Utilization())
-	}
 	b := f.b
 	f.b = axis.Beat{} // drop payload refs before pooling
 	f.next = c.free
@@ -99,9 +97,9 @@ func NewChannel(k *sim.Kernel, tx, rx *axis.FIFO, bandwidthBps float64, propagat
 // Delivered returns the number of beats delivered to the RX FIFO.
 func (c *Channel) Delivered() uint64 { return c.delivered }
 
-// SetMetrics attaches the metrics plane's per-channel delivery counters
-// and utilization gauge (observe-only; nil disables).
-func (c *Channel) SetMetrics(m *metricsplane.LinkMetrics) { c.mx = m }
+// FlightsLive returns the pooled wire contexts borrowed and not yet
+// returned: the beats on the wire or propagating, 0 once drained.
+func (c *Channel) FlightsLive() int { return c.inflight }
 
 // Bytes returns the cumulative wire bytes delivered.
 func (c *Channel) Bytes() uint64 { return c.bytes }

@@ -22,6 +22,39 @@ func TestDisabledTracerPathAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestEnabledSpanPathsAllocateNothing holds the 0 allocs/op of
+// BenchmarkSpanRecordFinish and BenchmarkSpanSampled: with the span pool
+// warm and retention capped, a recorded or sampled-out span allocates
+// nothing.
+func TestEnabledSpanPathsAllocateNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"record", Config{MaxRetained: 1}},
+		{"sampled", Config{Sample: 100, MaxRetained: 1}},
+	} {
+		tr := New(sim.NewKernel(), tc.cfg)
+		addr := uint64(0)
+		span := func() {
+			id := tr.Start(KindRead, addr)
+			addr++
+			tr.Enter(id, StageMSHR)
+			tr.Enter(id, StagePortTx)
+			tr.Enter(id, StageLinkRequest)
+			tr.Enter(id, StageDRAMAccess)
+			tr.Enter(id, StageLinkResponse)
+			tr.Finish(id)
+		}
+		for i := 0; i < 1000; i++ {
+			span()
+		}
+		if n := testing.AllocsPerRun(1000, span); n != 0 {
+			t.Errorf("%s: %.2f allocs/op, want 0", tc.name, n)
+		}
+	}
+}
+
 func BenchmarkDisabledSpan(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()

@@ -6,15 +6,13 @@
 // The package is pure bookkeeping — it schedules nothing — so its
 // invariants (no segment overlap, capacity conservation, free-list
 // coalescing) are property-testable in isolation; cluster.Pool drives one
-// allocator per lender. The only observability hook is the optional
-// metricsplane gauge bundle, refreshed after each mutation.
+// allocator per lender, and its metrics collector reads the allocators'
+// occupancy getters.
 package pool
 
 import (
 	"fmt"
 	"sort"
-
-	"thymesim/internal/metricsplane"
 )
 
 // Segment is one carved region of a lender's reservation: lender-physical
@@ -52,8 +50,6 @@ type Allocator struct {
 	free      []span
 	live      map[uint64]uint64 // size of each live segment, by base
 	allocated uint64
-
-	mx *metricsplane.AllocMetrics // nil when the metrics plane is disabled
 }
 
 // NewAllocator builds an allocator for lender's reservation
@@ -79,28 +75,6 @@ func NewAllocator(lender int, base, capacity, align uint64) (*Allocator, error) 
 	}, nil
 }
 
-// SetMetrics attaches the metrics plane's per-lender occupancy and
-// fragmentation gauges, refreshed after every successful mutation (the
-// initial state is published immediately).
-func (a *Allocator) SetMetrics(m *metricsplane.AllocMetrics) {
-	a.mx = m
-	a.refreshMetrics()
-}
-
-// refreshMetrics republishes the allocator gauges.
-func (a *Allocator) refreshMetrics() {
-	if a.mx == nil {
-		return
-	}
-	var largest uint64
-	for _, s := range a.free {
-		if s.size > largest {
-			largest = s.size
-		}
-	}
-	a.mx.Update(a.capacity, a.allocated, a.FreeBytes(), largest, len(a.free))
-}
-
 // Lender returns the lender index this allocator carves.
 func (a *Allocator) Lender() int { return a.lender }
 
@@ -116,6 +90,18 @@ func (a *Allocator) FreeBytes() uint64 { return a.capacity - a.allocated }
 
 // Segments returns the number of live segments.
 func (a *Allocator) Segments() int { return len(a.live) }
+
+// FreeSpanCount returns the number of free spans after coalescing.
+func (a *Allocator) FreeSpanCount() int { return len(a.free) }
+
+// LargestFree returns the size of the largest free span (0 when full).
+func (a *Allocator) LargestFree() uint64 {
+	var largest uint64
+	for _, s := range a.free {
+		largest = max(largest, s.size)
+	}
+	return largest
+}
 
 // FreeSpans returns a copy of the free list (sorted, coalesced) for
 // invariant checks and fragmentation diagnostics.
@@ -151,7 +137,6 @@ func (a *Allocator) Alloc(size uint64) (Segment, error) {
 		}
 		a.live[seg.Base] = size
 		a.allocated += size
-		a.refreshMetrics()
 		return seg, nil
 	}
 	return Segment{}, fmt.Errorf("pool: lender %d cannot fit %d bytes (%d free in %d spans)",
@@ -186,7 +171,6 @@ func (a *Allocator) Free(seg Segment) error {
 		a.free[i] = span{base: seg.Base, size: seg.Size}
 	}
 	a.allocated -= seg.Size
-	a.refreshMetrics()
 	return nil
 }
 
@@ -219,7 +203,6 @@ func (a *Allocator) Grow(seg Segment, newSize uint64) (Segment, error) {
 	a.allocated += need
 	seg.Size = newSize
 	a.live[seg.Base] = newSize
-	a.refreshMetrics()
 	return seg, nil
 }
 

@@ -170,3 +170,41 @@ func BenchmarkTimerWheelFire(b *testing.B) {
 		b.Fatalf("fired %d of %d", s.fired, b.N)
 	}
 }
+
+// TestBenchmarkLoopsAllocateNothing holds the 0 allocs/op of the loops
+// BenchmarkKernelHeapChurn, BenchmarkCreditPoolCycle and
+// BenchmarkRandUint64 time; TestSchedulePathZeroAlloc holds
+// BenchmarkKernelEventThroughput's.
+func TestBenchmarkLoopsAllocateNothing(t *testing.T) {
+	k := NewKernel()
+	for i := 0; i < 1024; i++ { // a deep pending queue, far in the future
+		k.At(Time(Second)+Time(i), func() {})
+	}
+	tick := func() {}
+	p := NewCreditPool(k, 16)
+	r := NewRand(1)
+	var sink uint64
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"heap churn", func() {
+			k.After(1, tick)
+			k.RunUntil(k.Now().Add(1))
+		}},
+		{"credit pool cycle", func() {
+			if !p.TryAcquire() {
+				t.Fatal("pool empty")
+			}
+			p.Release()
+		}},
+		{"rand", func() { sink ^= r.Uint64() }},
+	} {
+		if n := testing.AllocsPerRun(1000, tc.op); n != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", tc.name, n)
+		}
+	}
+	if k.Pending() != 1024 {
+		t.Fatalf("churn disturbed the pending queue: %d pending", k.Pending())
+	}
+}

@@ -252,6 +252,9 @@ type Kernel struct {
 	stopped bool
 	tw      timerWheel // cancellable timers (ArmTimer/CancelTimer)
 	lanes   [laneSlots]lane
+
+	// publish holds the OnPublish hooks.
+	publish []func()
 }
 
 // QueueStats reports where the kernel's future events waited, since the
@@ -494,21 +497,22 @@ func (k *Kernel) stepLane() {
 func (k *Kernel) Run() Time { return k.RunUntil(MaxTime) }
 
 // RunUntil dispatches events with timestamps <= limit, advances the clock to
-// limit if it was reached with events still pending, and returns the final
-// simulated time. Reentrant calls panic.
+// limit if it was reached with events still pending, runs the OnPublish
+// hooks, and returns the final simulated time. Reentrant calls panic.
 func (k *Kernel) RunUntil(limit Time) Time {
 	if k.drain(limit) && limit != MaxTime && k.now < limit {
 		k.now = limit
 	}
+	k.Publish()
 	return k.now
 }
 
 // StepTo dispatches every event before t, then sets the clock to t unless
-// Stop was called, in which case the clock stays at the stopping event. It
-// returns the final simulated time. Events at exactly t stay pending until
-// the kernel next runs, so a driver can step a run in phases and act at
-// each boundary before anything scheduled for it fires. A t before the
-// current instant panics.
+// Stop was called, in which case the clock stays at the stopping event,
+// and runs the OnPublish hooks. It returns the final simulated time.
+// Events at exactly t stay pending until the kernel next runs, so a driver
+// can step a run in phases and act at each boundary before anything
+// scheduled for it fires. A t before the current instant panics.
 func (k *Kernel) StepTo(t Time) Time {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: StepTo(%v) before now %v", t, k.now))
@@ -516,7 +520,23 @@ func (k *Kernel) StepTo(t Time) Time {
 	if k.drain(t - 1) {
 		k.now = t
 	}
+	k.Publish()
 	return k.now
+}
+
+// OnPublish registers fn to run at the kernel's publish points: each time
+// Run, RunUntil or StepTo returns, and whenever Publish is called. The
+// metrics plane reads components' counters there, between events, where
+// no handler is half done.
+func (k *Kernel) OnPublish(fn func()) { k.publish = append(k.publish, fn) }
+
+// Publish runs the OnPublish hooks now. It schedules nothing and leaves
+// the clock where it is, so a Ticker callback may call it to publish in
+// the middle of a run.
+func (k *Kernel) Publish() {
+	for _, fn := range k.publish {
+		fn()
+	}
 }
 
 // drain dispatches events with timestamps <= limit until none remain or

@@ -96,7 +96,6 @@ func (a *ARQ) Handle(arg uint64) {
 		return // unreachable: resolution cancels the deadline
 	}
 	a.stats.Timeouts++
-	a.mx.Timeout()
 	a.retryOrDie(tag, t)
 }
 
@@ -133,7 +132,7 @@ type ARQ struct {
 	OnComplete func(ocapi.Packet)
 
 	stats ARQStats
-	mx    *metricsplane.ARQMetrics // nil when the metrics plane is disabled
+	rec   metricsplane.NodeRecorder // retransmits, deaths, corrupt responses
 }
 
 // arqLink is the slice of the NIC the retransmission layer drives
@@ -159,9 +158,10 @@ func NewARQ(k *sim.Kernel, nic arqLink, cfg ARQConfig) *ARQ {
 	return a
 }
 
-// SetMetrics attaches the metrics plane's per-node ARQ counters
-// (observe-only; nil keeps the zero-overhead path).
-func (a *ARQ) SetMetrics(m *metricsplane.ARQMetrics) { a.mx = m }
+// SetRecorder attaches the metrics plane's flight-recorder handle for
+// retransmits, deaths and corrupt responses (observe-only). The counters
+// in Stats are pulled by the plane.
+func (a *ARQ) SetRecorder(rec metricsplane.NodeRecorder) { a.rec = rec }
 
 // Stats returns the retransmission counters.
 func (a *ARQ) Stats() ARQStats { return a.stats }
@@ -222,7 +222,6 @@ func (a *ARQ) TrySend(p ocapi.Packet) bool {
 	t.attempts = 1
 	a.track(p.Tag, t)
 	a.stats.Tracked++
-	a.mx.Tracked()
 	a.armTimeout(p.Tag, t)
 	return true
 }
@@ -252,12 +251,10 @@ func (a *ARQ) OnResponse(p ocapi.Packet) {
 	t := a.txn(p.Tag)
 	if t == nil {
 		a.stats.StaleDrops++ // duplicate after resolution, or never ours
-		a.mx.StaleDrop()
 		return
 	}
 	if p.Seq != uint16(t.attempts-1) {
 		a.stats.StaleDrops++ // reply to a superseded attempt
-		a.mx.StaleDrop()
 		return
 	}
 	switch {
@@ -266,17 +263,15 @@ func (a *ARQ) OnResponse(p ocapi.Packet) {
 		// the attempt's timeout drive the retry (the lender did answer, so
 		// an immediate retransmit would race its duplicate detection).
 		a.stats.CorruptResp++
-		a.mx.CorruptResp(a.k.Now().Micros())
+		a.rec.Record(a.k.Now(), metricsplane.EvARQCorrupt, 0)
 	case p.Op == ocapi.OpNack:
 		a.stats.NackRetries++
-		a.mx.NackRetry()
 		a.k.CancelTimer(t.timer) // the nack supersedes the attempt's timeout
 		a.retryOrDie(p.Tag, t)
 	default:
 		a.untrack(p.Tag)
 		a.recycle(t)
 		a.stats.Completed++
-		a.mx.Completed()
 		a.deliver(p)
 	}
 }
@@ -322,7 +317,7 @@ func (a *ARQ) retryOrDie(tag uint32, t *arqTxn) {
 	if t.attempts > a.cfg.MaxRetries {
 		a.untrack(tag)
 		a.stats.Dead++
-		a.mx.Dead(uint64(t.pkt.Seq), a.k.Now().Micros())
+		a.rec.Record(a.k.Now(), metricsplane.EvARQDead, uint64(t.pkt.Seq))
 		r := t.pkt.Response()
 		r.Poison = true
 		a.recycle(t)
@@ -330,7 +325,7 @@ func (a *ARQ) retryOrDie(tag uint32, t *arqTxn) {
 		return
 	}
 	a.stats.Retransmits++
-	a.mx.Retransmit(uint64(t.attempts), a.k.Now().Micros())
+	a.rec.Record(a.k.Now(), metricsplane.EvARQRetransmit, uint64(t.attempts))
 	p := t.pkt
 	p.Seq = uint16(t.attempts)
 	t.attempts++
