@@ -25,14 +25,16 @@ bench-test:
 # Fuzz each target for FUZZTIME (10s by default) on top of its seed
 # corpus: a short per-change exploration of the kernel's event order, the
 # trace reader, the allocator, the ARQ's dense transaction table, the
-# axis FIFO ring and the experiment options' validation.
+# axis FIFO ring, the experiment options' validation and the fault
+# schedule's validation and replay.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzKernelOrder:./internal/sim \
 	FuzzTraceReader:./internal/trace \
 	FuzzAllocatorOps:./internal/pool \
 	FuzzARQResponseStream:./internal/tfnic \
 	FuzzFIFO:./internal/axis \
-	FuzzOptionsValidate:./internal/core
+	FuzzOptionsValidate:./internal/core \
+	FuzzScheduleValidate:./internal/inject
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -100,13 +102,20 @@ golden:
 	diff -r results $$tmp; rc=$$?; rm -rf $$tmp; exit $$rc
 
 # Smoke-test span tracing: a tiny traced STREAM run must emit valid
-# Chrome-trace JSON and a nonempty per-stage breakdown.
+# Chrome-trace JSON and a nonempty per-stage breakdown. The same run with
+# -metrics-ndjson must stream windowed time series: the injector backlog,
+# link utilization and the tracer's stage rollups.
 trace-smoke:
 	$(GO) run ./cmd/tfsim -workload stream -elements 4096 \
 		-trace /tmp/thymesim-trace.json | tee /tmp/thymesim-trace.out
 	grep -q '"traceEvents"' /tmp/thymesim-trace.json
 	grep -q 'end_to_end' /tmp/thymesim-trace.out
 	grep -q 'valid JSON' /tmp/thymesim-trace.out
+	$(GO) run ./cmd/tfsim -workload stream -elements 4096 \
+		-trace /tmp/thymesim-trace.json -metrics-ndjson /tmp/thymesim-windows.ndjson
+	grep -q '"thymesim_nic_injector_backlog"' /tmp/thymesim-windows.ndjson
+	grep -q '"thymesim_link_utilization"' /tmp/thymesim-windows.ndjson
+	grep -q '"thymesim_stage_time_us_total"' /tmp/thymesim-windows.ndjson
 
 # Smoke-test the live run monitor: build characterize, run the
 # pool-contention sweep with -serve, scrape /metrics mid-run, and

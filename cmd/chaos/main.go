@@ -84,9 +84,6 @@ func main() {
 	cfg.Faults.FlapMeanUp = sim.Duration(*flapUp * float64(sim.Microsecond))
 	cfg.Faults.FlapMeanDown = sim.Duration(*flapDown * float64(sim.Microsecond))
 	cfg.Workloads = strings.Split(*workloads, ",")
-	if err := cfg.Validate(); err != nil {
-		log.Fatal(err)
-	}
 
 	stopCPU, err := prof.Start(*cpuProfile)
 	if err != nil {
@@ -100,7 +97,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := opts.RunChaos(cfg)
+	rep, err := opts.RunChaos(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var failoverResult *core.DegradedFailover
 	if *failover {
 		failoverResult = opts.RunDegradedFailover()
@@ -109,7 +109,6 @@ func main() {
 	if *schedule {
 		scfg := core.DefaultChaosScheduleConfig()
 		scfg.Seed = *seed
-		var err error
 		scheduleResult, err = opts.RunChaosSchedule(scfg)
 		if err != nil {
 			log.Fatal(err)
@@ -136,7 +135,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	if err := rep.Counters.Table("fault/recovery counters").Render(os.Stdout); err != nil {
+	if err := rep.Counters.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 

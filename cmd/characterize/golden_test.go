@@ -10,8 +10,10 @@ import (
 	"thymesim/internal/core"
 )
 
-// fastGolden names the experiments that regenerate in about a second
-// together, and the CSV files they write under results/.
+// fastGolden names the experiments that regenerate in a few seconds
+// together, and the CSV files they write under results/. chaos and
+// schedule cover the fault-injection kernels (ARQ timers, supervisor
+// heartbeats, breaker dwells), where a reordered event shifts counters.
 var fastGolden = map[string][]string{
 	"resilience":   {"fig4_attach.csv", "fig4_resilience.csv"},
 	"dists":        {"ablation_dists.csv", "ablation_dists_table.csv"},
@@ -19,6 +21,8 @@ var fastGolden = map[string][]string{
 	"migration":    {"ablation_migration.csv"},
 	"interconnect": {"ablation_interconnect.csv"},
 	"prefetch":     {"ablation_prefetch.csv"},
+	"chaos":        {"chaos_table.csv", "chaos_counters.csv"},
+	"schedule":     {"chaos_schedule_table.csv", "chaos_schedule_campaign.csv"},
 }
 
 // TestGoldenFastSubset regenerates the fast experiments in-process, with

@@ -243,8 +243,11 @@ func runExperiments(opts core.Options, want func(string) bool, run func(name str
 		run("chaos harness", func() {
 			ccfg := core.DefaultChaosConfig()
 			ccfg.Seed = opts.Seed
-			rep.Chaos = opts.RunChaos(ccfg)
+			rep.Chaos, err = opts.RunChaos(ccfg)
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	if want("schedule") {
 		run("scheduled chaos campaign (lender fault domains)", func() {

@@ -7,14 +7,13 @@
 //
 //	tfsim -workload stream|graph500|redis [-period N] [-placement remote|local]
 //	      [-elements N] [-scale N] [-requests N] [-seed N]
-//	      [-trace FILE] [-trace-sample N] [-telemetry FILE]
-//	      [-serve ADDR] [-metrics-ndjson FILE]
+//	      [-trace FILE] [-trace-sample N] [-serve ADDR] [-metrics-ndjson FILE]
 //
 // With -serve, a live run monitor answers /metrics (Prometheus text),
 // /healthz, /status, /stream, and /events while the workload runs.
 // -metrics-ndjson streams windowed metric deltas (one JSON object per
-// changed series per 10 µs simulated-time window) and applies to the
-// stream/remote telemetry mode, which owns the simulated clock.
+// changed series per 10 µs simulated-time window); it applies to
+// -workload stream -placement remote, whose run owns the simulated clock.
 package main
 
 import (
@@ -29,7 +28,6 @@ import (
 	"thymesim/internal/metricsplane/monitor"
 	"thymesim/internal/obs"
 	"thymesim/internal/sim"
-	"thymesim/internal/telemetry"
 	"thymesim/internal/workloads/stream"
 )
 
@@ -72,11 +70,10 @@ func main() {
 		scale     = flag.Int("scale", 0, "Graph500 scale (0 = default)")
 		requests  = flag.Int("requests", 0, "Memtier requests per client (0 = default)")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
-		telem     = flag.String("telemetry", "", "CSV file for time-series telemetry (stream/remote only)")
 		trace     = flag.String("trace", "", "Chrome trace-event JSON file for span tracing (remote only)")
 		traceSamp = flag.Int("trace-sample", 1, "trace every Nth line fill (bounds tracer memory)")
 		serveAddr = flag.String("serve", "", "serve the live run monitor (/metrics, /healthz, /status) on this address while the workload runs")
-		metricsND = flag.String("metrics-ndjson", "", "stream windowed metric deltas as NDJSON to this file (stream/remote telemetry mode only)")
+		metricsND = flag.String("metrics-ndjson", "", "stream windowed metric deltas as NDJSON to this file (-workload stream -placement remote only)")
 	)
 	flag.Parse()
 
@@ -113,17 +110,14 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "metrics: serving /metrics /healthz /status on http://%s\n", srv.Addr())
 	}
-	if *metricsND != "" && (*workload != "stream" || !remote || *telem == "") {
-		log.Fatal("-metrics-ndjson needs the stream/remote telemetry mode (-workload stream -placement remote -telemetry FILE)")
+	if *metricsND != "" && (*workload != "stream" || !remote) {
+		log.Fatal("-metrics-ndjson needs -workload stream -placement remote")
 	}
 
 	switch *workload {
 	case "stream":
-		if *telem != "" {
-			if !remote {
-				log.Fatal("telemetry requires remote placement")
-			}
-			runStreamTelemetry(opts, *period, *telem, *trace, *metricsND, tcfg)
+		if *metricsND != "" {
+			runStreamWindows(opts, *period, *trace, *metricsND, tcfg)
 			return
 		}
 		var m core.StreamMeasurement
@@ -214,72 +208,40 @@ func finishTrace(tr *obs.Tracer, path string) {
 		tr.Finished(), tr.Retained(), path, len(parsed.TraceEvents))
 }
 
-// runStreamTelemetry runs STREAM on the remote testbed while sampling the
-// datapath's observables every 10us of simulated time, then writes the
-// series as CSV. With tracePath set, span tracing runs alongside and its
-// per-stage running means join the sampled probes. With ndPath set (and
-// the metrics plane on), windowed metric deltas stream there as NDJSON on
-// the same 10us simulated-time cadence.
-func runStreamTelemetry(opts core.Options, period int64, path, tracePath, ndPath string, tcfg obs.Config) {
+// runStreamWindows runs STREAM on the remote testbed while the metrics
+// plane streams windowed metric deltas to ndPath as NDJSON, one window
+// per 10us of simulated time. With tracePath set, span tracing runs
+// alongside and its per-stage rollups join the stream.
+func runStreamWindows(opts core.Options, period int64, tracePath, ndPath string, tcfg obs.Config) {
 	tb := opts.Testbed(period)
 	var tr *obs.Tracer
 	if tracePath != "" {
 		tr = tb.EnableTracing(tcfg)
 	}
-	var ws *metricsplane.WindowStream
-	if ndPath != "" {
-		nf, err := os.Create(ndPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer nf.Close()
-		ws = opts.Metrics.StreamWindows(tb.K, 10*sim.Microsecond, nf)
-		defer func() {
-			ws.Stop()
-			fmt.Printf("metrics: windowed NDJSON stream -> %s\n", ndPath)
-		}()
+	nf, err := os.Create(ndPath)
+	if err != nil {
+		log.Fatal(err)
 	}
-	h := tb.NewRemoteHierarchy()
+	ws := opts.Metrics.StreamWindows(tb.K, 10*sim.Microsecond, nf)
+
 	cfg := stream.DefaultConfig(tb.RemoteAddr(0))
 	cfg.Elements = opts.StreamElements
-
-	sampler := telemetry.NewSampler(tb.K, 10*sim.Microsecond)
-	tr.RegisterProbes(sampler)
-	sampler.Register("injector_backlog", func() float64 {
-		return float64(tb.BorrowerNIC.InjectorBacklog())
-	})
-	sampler.Register("mshr_in_use", func() float64 {
-		return float64(h.OutstandingFills())
-	})
-	sampler.Register("link_utilization", func() float64 {
-		return tb.Link.AtoB.Utilization()
-	})
-	sampler.Register("lender_dram_utilization", func() float64 {
-		return tb.LenderMem.Utilization()
-	})
-	sampler.Start()
-
-	r := stream.New(tb.K, h, cfg)
+	r := stream.New(tb.K, tb.NewRemoteHierarchy(), cfg)
 	var results []stream.Result
 	tb.K.At(0, func() {
 		r.Run(func(res []stream.Result) {
 			results = res
-			sampler.Stop()
 			tb.K.Stop()
 		})
 	})
 	tb.K.Run()
+	ws.Stop()
+	if err := nf.Close(); err != nil {
+		log.Fatal(err)
+	}
 
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := sampler.WriteCSV(f); err != nil {
-		log.Fatal(err)
-	}
 	bw, lat := stream.Summary(results)
 	fmt.Printf("STREAM remote PERIOD=%d: %.3f GB/s, fill latency %.2f us\n", period, bw/1e9, lat)
-	fmt.Printf("telemetry: %d samples x %d probes -> %s\n", sampler.Samples(), len(sampler.Names()), path)
+	fmt.Printf("metrics: windowed NDJSON stream -> %s\n", ndPath)
 	finishTrace(tr, tracePath)
 }

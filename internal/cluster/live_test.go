@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"thymesim/internal/metricsplane"
 	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
 	"thymesim/internal/tfnic"
@@ -51,7 +52,7 @@ func checkKernelDrained(t *testing.T, k *sim.Kernel) {
 
 // checkPoolsDrained asserts that every per-fill free list got back what
 // it lent once the kernel drained: backend transaction contexts, DRAM
-// access contexts, NIC delay-line flights and wire flights.
+// access contexts, NIC delay-line flights, wire flights and switch hops.
 func checkPoolsDrained(t *testing.T, p *Pool) {
 	t.Helper()
 	live := func(what string, n int) {
@@ -77,6 +78,9 @@ func checkPoolsDrained(t *testing.T, p *Pool) {
 	for i, ln := range links {
 		live(fmt.Sprintf("link %d a->b", i), ln.AtoB.FlightsLive())
 		live(fmt.Sprintf("link %d b->a", i), ln.BtoA.FlightsLive())
+	}
+	if p.Switch != nil {
+		live("switch hops", p.Switch.HopsLive())
 	}
 }
 
@@ -112,12 +116,14 @@ func TestPacketsLiveZeroAfterDrainedTestbed(t *testing.T) {
 }
 
 // TestPacketsLiveZeroAfterDrainedPool does the same across a 4×2 pool on
-// the switched fabric, with deadlines and ARQ armed.
+// the switched fabric, with deadlines and ARQ armed, and checks that the
+// plane exports the switch's drained hop count.
 func TestPacketsLiveZeroAfterDrainedPool(t *testing.T) {
 	cfg := poolConfig(4, 2)
 	arq := tfnic.DefaultARQConfig()
 	cfg.Base.ARQ = &arq
 	cfg.Base.FillDeadline = 200 * sim.Microsecond
+	cfg.Base.Metrics = metricsplane.New()
 	p := NewPool(cfg)
 	for i := range p.Borrowers {
 		r, err := p.Attach(i, 1<<20)
@@ -137,4 +143,19 @@ func TestPacketsLiveZeroAfterDrainedPool(t *testing.T) {
 	}
 	checkKernelDrained(t, p.K)
 	checkPoolsDrained(t, p)
+	if p.Switch.Forwarded() == 0 {
+		t.Fatal("no beats crossed the switch")
+	}
+	exported := false
+	for _, s := range cfg.Base.Metrics.Snapshot() {
+		if s.Name == "thymesim_switch_hops_live" {
+			exported = true
+			if s.Value != 0 {
+				t.Errorf("thymesim_switch_hops_live = %v after drain", s.Value)
+			}
+		}
+	}
+	if !exported {
+		t.Error("thymesim_switch_hops_live not exported")
+	}
 }

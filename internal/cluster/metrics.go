@@ -95,6 +95,7 @@ func (p *Pool) publish(pb *metricsplane.Publisher) {
 			pb.Gauge("thymesim_switch_peak_queue_depth", "Peak output queue depth.", l, float64(s.PeakOccupancy(i)))
 		}
 		pb.Counter("thymesim_switch_dropped_total", "Buffers dropped at full output queues.", metricsplane.NewLabels(), s.Dropped())
+		pb.Gauge("thymesim_switch_hops_live", "Switch hop contexts borrowed and not returned.", metricsplane.NewLabels(), float64(s.HopsLive()))
 	}
 }
 
@@ -111,6 +112,7 @@ func publishNIC(pb *metricsplane.Publisher, l metricsplane.Labels, n *tfnic.NIC)
 	pb.Counter("thymesim_nic_serves_lost_total", "In-flight serves lost to a crash epoch.", l, st.ServesLost)
 	pb.Counter("thymesim_nic_wipe_nacks_total", "Block ops nacked by a wiped window.", l, st.WipeNacks)
 	pb.Gauge("thymesim_nic_flights_live", "Delay-line flight contexts borrowed and not returned.", l, float64(n.FlightsLive()))
+	pb.Gauge("thymesim_nic_injector_backlog", "Requests queued at the delay injector at publish.", l, float64(n.InjectorBacklog()))
 }
 
 func publishARQ(pb *metricsplane.Publisher, l metricsplane.Labels, st tfnic.ARQStats) {
@@ -132,6 +134,7 @@ func publishFill(pb *metricsplane.Publisher, l metricsplane.Labels, be *memport.
 	pb.Counter("thymesim_fill_expired_unsent_total", "Queued sends withdrawn at deadline expiry.", l, be.ExpiredUnsent())
 	pb.Counter("thymesim_fill_late_responses_total", "Straggler responses for already-expired fills.", l, be.LateResponses())
 	pb.Gauge("thymesim_fill_txns_live", "Fill transaction contexts borrowed and not returned.", l, float64(be.TxnsLive()))
+	pb.Gauge("thymesim_fill_outstanding", "Port commands in flight at publish (the MSHR window as the backend sees it).", l, float64(be.Outstanding()))
 }
 
 func publishDRAM(pb *metricsplane.Publisher, l metricsplane.Labels, d *dram.DRAM) {

@@ -21,7 +21,6 @@ import (
 	"thymesim/internal/migrate"
 	"thymesim/internal/sim"
 	"thymesim/internal/sweep"
-	"thymesim/internal/telemetry"
 	"thymesim/internal/tfnic"
 	"thymesim/internal/workloads/graph500"
 	"thymesim/internal/workloads/kvstore"
@@ -90,9 +89,6 @@ type ChaosConfig struct {
 	ARQ tfnic.ARQConfig
 	// Supervisor parameterizes heartbeat link supervision and re-attach.
 	Supervisor control.SupervisorConfig
-	// SampleEvery is the telemetry sampling interval for the live
-	// fault/recovery counters.
-	SampleEvery sim.Duration
 	// Workloads selects which workloads to run (subset of ChaosWorkloads).
 	Workloads []string
 }
@@ -105,13 +101,12 @@ func DefaultChaosConfig() ChaosConfig {
 	arq.Timeout = 30 * sim.Microsecond
 	arq.MaxRetries = 8
 	return ChaosConfig{
-		Seed:        1,
-		Period:      1,
-		Faults:      DefaultChaosFaults(),
-		ARQ:         arq,
-		Supervisor:  control.DefaultSupervisorConfig(),
-		SampleEvery: 20 * sim.Microsecond,
-		Workloads:   ChaosWorkloads,
+		Seed:       1,
+		Period:     1,
+		Faults:     DefaultChaosFaults(),
+		ARQ:        arq,
+		Supervisor: control.DefaultSupervisorConfig(),
+		Workloads:  ChaosWorkloads,
 	}
 }
 
@@ -128,9 +123,6 @@ func (c ChaosConfig) Validate() error {
 	}
 	if err := c.Supervisor.Validate(); err != nil {
 		return err
-	}
-	if c.SampleEvery <= 0 {
-		return fmt.Errorf("core: chaos sample interval %v", c.SampleEvery)
 	}
 	if len(c.Workloads) == 0 {
 		return fmt.Errorf("core: no chaos workloads")
@@ -218,18 +210,24 @@ type ChaosResult struct {
 	Downs, Recoveries                                  uint64
 	MeanRecoveryUs                                     float64
 	FinalLink                                          string
-	// Samples is how many telemetry rounds observed the counters.
-	Samples uint64
 	// Violations lists failed end-to-end invariants (empty = run passed).
 	Violations []string
 }
 
-// chaosCounterNames fixes the counter order shared by telemetry probes,
-// aggregate tables, and CSV output.
+// chaosCounterNames fixes the row order of the aggregate counter table
+// (chaos_counters.csv); counters returns one result's values in it.
 var chaosCounterNames = []string{
 	"gate_dropped", "gate_corrupted", "flap_blocked",
 	"arq_retransmits", "arq_timeouts", "arq_nack_retries", "arq_dead",
 	"backend_poisoned", "sup_downs", "sup_recoveries",
+}
+
+func (r ChaosResult) counters() []uint64 {
+	return []uint64{
+		r.Dropped, r.Corrupted, r.FlapBlocked,
+		r.Retransmits, r.Timeouts, r.NackRetries, r.Dead,
+		r.Poisoned, r.Downs, r.Recoveries,
+	}
 }
 
 // runChaosWorkload drives one workload to completion under the fault mix,
@@ -244,46 +242,19 @@ func (o Options) runChaosWorkload(cfg ChaosConfig, name string) ChaosResult {
 func (o Options) runChaosOn(tb *cluster.Testbed, gs *chaosGates, cfg ChaosConfig, name string) ChaosResult {
 	sup := control.NewSupervisor(tb, cfg.Supervisor)
 
-	counters := metrics.NewCounterSet()
-	counters.Declare(chaosCounterNames...)
-	refresh := func() {
-		st := tb.ARQ.Stats()
-		ss := sup.Stats()
-		counters.Set("gate_dropped", gs.dropped())
-		counters.Set("gate_corrupted", gs.corrupted())
-		counters.Set("flap_blocked", gs.flapBlocked())
-		counters.Set("arq_retransmits", st.Retransmits)
-		counters.Set("arq_timeouts", st.Timeouts)
-		counters.Set("arq_nack_retries", st.NackRetries)
-		counters.Set("arq_dead", st.Dead)
-		counters.Set("backend_poisoned", tb.RemoteBackend().Poisoned())
-		counters.Set("sup_downs", ss.Downs)
-		counters.Set("sup_recoveries", ss.Recoveries)
-	}
-	sampler := telemetry.NewSampler(tb.K, cfg.SampleEvery)
-	telemetry.RegisterCounterSet(sampler, "chaos_", counters)
-
 	done := false
 	var doneAt sim.Time
 	finish := func() {
 		done = true
 		doneAt = tb.K.Now()
 		sup.Stop()
-		sampler.Stop()
 	}
 
 	tb.K.At(0, func() {
-		// Refresh before each sampling round so the probes read live values.
-		tb.K.Ticker(cfg.SampleEvery, func() bool {
-			refresh()
-			return !done
-		})
-		sampler.Start()
 		sup.Start()
 		o.launchChaosWorkload(tb, name, finish)
 	})
 	tb.K.Run()
-	refresh()
 
 	res := ChaosResult{
 		Workload:       name,
@@ -292,7 +263,6 @@ func (o Options) runChaosOn(tb *cluster.Testbed, gs *chaosGates, cfg ChaosConfig
 		Dropped:        gs.dropped(),
 		Corrupted:      gs.corrupted(),
 		FlapBlocked:    gs.flapBlocked(),
-		Samples:        sampler.Samples(),
 		FinalLink:      sup.State().String(),
 		MeanRecoveryUs: sup.Stats().MeanRecovery().Micros(),
 		Downs:          sup.Stats().Downs,
@@ -371,8 +341,9 @@ func (o Options) launchChaosWorkload(tb *cluster.Testbed, name string, finish fu
 // ChaosReport is one chaos campaign across the selected workloads.
 type ChaosReport struct {
 	Results []ChaosResult
-	// Counters aggregates fault/recovery activity across all runs.
-	Counters *metrics.CounterSet
+	// Counters sums fault/recovery activity over Results, one
+	// counter,value row per chaosCounterNames entry.
+	Counters *metrics.Table
 	Table    *metrics.Table
 }
 
@@ -388,13 +359,12 @@ func (r *ChaosReport) OK() bool {
 
 // RunChaos executes the chaos campaign: each selected workload runs to
 // completion under the seeded fault schedule, with recovery active and
-// invariants audited.
-func (o Options) RunChaos(cfg ChaosConfig) *ChaosReport {
+// invariants audited. An invalid cfg is an error, and nothing runs.
+func (o Options) RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if err := cfg.Validate(); err != nil {
-		panic(err)
+		return nil, err
 	}
-	rep := &ChaosReport{Counters: metrics.NewCounterSet()}
-	rep.Counters.Declare(chaosCounterNames...)
+	rep := &ChaosReport{}
 	rep.Table = &metrics.Table{
 		Title:   "Chaos harness: workloads under corruption+drop+flap",
 		Columns: []string{"workload", "completed", "elapsed (us)", "retransmits", "dead", "poisoned", "downs", "recoveries", "violations"},
@@ -404,17 +374,11 @@ func (o Options) RunChaos(cfg ChaosConfig) *ChaosReport {
 	rep.Results = sweep.Map(o.Workers, len(cfg.Workloads), func(i int) ChaosResult {
 		return o.runChaosWorkload(cfg, cfg.Workloads[i])
 	})
+	sums := make([]uint64, len(chaosCounterNames))
 	for _, res := range rep.Results {
-		rep.Counters.Add("gate_dropped", res.Dropped)
-		rep.Counters.Add("gate_corrupted", res.Corrupted)
-		rep.Counters.Add("flap_blocked", res.FlapBlocked)
-		rep.Counters.Add("arq_retransmits", res.Retransmits)
-		rep.Counters.Add("arq_timeouts", res.Timeouts)
-		rep.Counters.Add("arq_nack_retries", res.NackRetries)
-		rep.Counters.Add("arq_dead", res.Dead)
-		rep.Counters.Add("backend_poisoned", res.Poisoned)
-		rep.Counters.Add("sup_downs", res.Downs)
-		rep.Counters.Add("sup_recoveries", res.Recoveries)
+		for i, v := range res.counters() {
+			sums[i] += v
+		}
 		rep.Table.AddRow(res.Workload,
 			fmt.Sprintf("%t", res.Completed),
 			fmt.Sprintf("%.1f", res.ElapsedUs),
@@ -425,7 +389,11 @@ func (o Options) RunChaos(cfg ChaosConfig) *ChaosReport {
 			fmt.Sprintf("%d", res.Recoveries),
 			strings.Join(res.Violations, "; "))
 	}
-	return rep
+	rep.Counters = &metrics.Table{Title: "chaos fault/recovery counters", Columns: []string{"counter", "value"}}
+	for i, name := range chaosCounterNames {
+		rep.Counters.AddRow(name, fmt.Sprintf("%d", sums[i]))
+	}
+	return rep, nil
 }
 
 // DegradedFailover is the dead-link fallback experiment: a pointer chase
@@ -522,8 +490,6 @@ type ResilienceRecovery struct {
 	Baseline RecoveryPoint
 	Points   []RecoveryPoint
 	Figure   *metrics.Figure
-	// Counters aggregates recovery activity across the sweep.
-	Counters *metrics.CounterSet
 }
 
 // recoveryFaults maps a scenario to its fault mix.
@@ -607,9 +573,7 @@ func (o Options) RunResilienceRecovery() *ResilienceRecovery {
 			YLabel: "bandwidth (GB/s)",
 			LogX:   true,
 		},
-		Counters: metrics.NewCounterSet(),
 	}
-	rr.Counters.Declare("retransmits", "dead", "poisoned", "downs", "recoveries")
 	// Flatten the baseline plus every (scenario, level) pair into one
 	// sweep so the whole grid shares the pool.
 	type job struct {
@@ -625,15 +589,7 @@ func (o Options) RunResilienceRecovery() *ResilienceRecovery {
 	pts := sweep.Map(o.Workers, len(jobs), func(i int) RecoveryPoint {
 		return o.recoveryPoint(jobs[i].scenario, jobs[i].level)
 	})
-	account := func(p RecoveryPoint) {
-		rr.Counters.Add("retransmits", p.Retransmits)
-		rr.Counters.Add("dead", p.Dead)
-		rr.Counters.Add("poisoned", p.Poisoned)
-		rr.Counters.Add("downs", p.Downs)
-		rr.Counters.Add("recoveries", p.Recoveries)
-	}
 	rr.Baseline = pts[0]
-	account(rr.Baseline)
 	next := 1
 	for _, f := range families {
 		series := rr.Figure.AddSeries(f.scenario)
@@ -642,7 +598,6 @@ func (o Options) RunResilienceRecovery() *ResilienceRecovery {
 			next++
 			rr.Points = append(rr.Points, p)
 			series.Add(p.Level, p.BandwidthGBs)
-			account(p)
 		}
 	}
 	return rr

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,32 @@ func chaosOptions() Options {
 	return o
 }
 
+// runChaos runs a campaign whose config the test expects to be valid.
+func runChaos(t *testing.T, o Options, cfg ChaosConfig) *ChaosReport {
+	t.Helper()
+	rep, err := o.RunChaos(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// chaosCounter reads one row of the aggregate counter table.
+func chaosCounter(t *testing.T, rep *ChaosReport, name string) uint64 {
+	t.Helper()
+	cell, ok := rep.Counters.Lookup(name, "value")
+	if !ok {
+		t.Fatalf("counter table has no %q row", name)
+	}
+	v, err := strconv.ParseUint(cell, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestChaosConfigValidation checks that each invalid config is rejected
+// by Validate, and by RunChaos as an error before anything runs.
 func TestChaosConfigValidation(t *testing.T) {
 	if err := DefaultChaosConfig().Validate(); err != nil {
 		t.Fatal(err)
@@ -29,7 +56,6 @@ func TestChaosConfigValidation(t *testing.T) {
 		func(c *ChaosConfig) { c.Faults.FlapMeanDown = 0 },
 		func(c *ChaosConfig) { c.ARQ.Timeout = 0 },
 		func(c *ChaosConfig) { c.Supervisor.Heartbeat = 0 },
-		func(c *ChaosConfig) { c.SampleEvery = 0 },
 		func(c *ChaosConfig) { c.Workloads = nil },
 		func(c *ChaosConfig) { c.Workloads = []string{"memtier"} },
 	}
@@ -39,13 +65,16 @@ func TestChaosConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+		if rep, err := chaosOptions().RunChaos(cfg); err == nil || rep != nil {
+			t.Errorf("case %d: RunChaos = (%v, %v), want an error", i, rep, err)
+		}
 	}
 }
 
 func TestChaosAllWorkloadsSurviveFaults(t *testing.T) {
 	o := chaosOptions()
 	cfg := DefaultChaosConfig()
-	rep := o.RunChaos(cfg)
+	rep := runChaos(t, o, cfg)
 	if len(rep.Results) != 3 {
 		t.Fatalf("results = %d", len(rep.Results))
 	}
@@ -56,19 +85,14 @@ func TestChaosAllWorkloadsSurviveFaults(t *testing.T) {
 		t.Fatal("chaos campaign failed")
 	}
 	// The fault mix actually fired, and recovery actually worked.
-	if rep.Counters.Get("gate_dropped") == 0 {
+	if chaosCounter(t, rep, "gate_dropped") == 0 {
 		t.Error("no drops under the default mix")
 	}
-	if rep.Counters.Get("gate_corrupted") == 0 {
+	if chaosCounter(t, rep, "gate_corrupted") == 0 {
 		t.Error("no corruption under the default mix")
 	}
-	if rep.Counters.Get("arq_retransmits") == 0 {
+	if chaosCounter(t, rep, "arq_retransmits") == 0 {
 		t.Error("no retransmissions despite loss")
-	}
-	for _, r := range rep.Results {
-		if r.Samples == 0 {
-			t.Errorf("%s: telemetry never sampled", r.Workload)
-		}
 	}
 	if len(rep.Table.Rows) != 3 {
 		t.Errorf("table rows = %d", len(rep.Table.Rows))
@@ -79,13 +103,13 @@ func TestChaosDeterministicAcrossRuns(t *testing.T) {
 	o := chaosOptions()
 	cfg := DefaultChaosConfig()
 	cfg.Workloads = []string{"stream", "kvstore"}
-	a := o.RunChaos(cfg)
-	b := o.RunChaos(cfg)
+	a := runChaos(t, o, cfg)
+	b := runChaos(t, o, cfg)
 	if !reflect.DeepEqual(a.Results, b.Results) {
 		t.Fatalf("same seed diverged:\n%+v\nvs\n%+v", a.Results, b.Results)
 	}
 	cfg.Seed = 99
-	c := o.RunChaos(cfg)
+	c := runChaos(t, o, cfg)
 	if reflect.DeepEqual(a.Results, c.Results) {
 		t.Fatal("different seeds produced identical fault schedules")
 	}
@@ -99,7 +123,7 @@ func TestChaosFaultFreeRunIsClean(t *testing.T) {
 	cfg := DefaultChaosConfig()
 	cfg.Faults = ChaosFaults{}
 	cfg.Workloads = []string{"stream"}
-	rep := o.RunChaos(cfg)
+	rep := runChaos(t, o, cfg)
 	if !rep.OK() {
 		t.Fatalf("fault-free run failed: %+v", rep.Results[0].Violations)
 	}
@@ -165,7 +189,11 @@ func TestResilienceRecoverySweep(t *testing.T) {
 	if flapDowns == 0 {
 		t.Error("flap sweep never took the link down")
 	}
-	if rr.Counters.Get("retransmits") == 0 {
+	var retransmits uint64
+	for _, p := range rr.Points {
+		retransmits += p.Retransmits
+	}
+	if retransmits == 0 {
 		t.Error("sweep saw no retransmissions")
 	}
 }
@@ -186,7 +214,7 @@ func TestReportRecoveryAndChaosSections(t *testing.T) {
 	r := &Report{
 		Options:  o,
 		Recovery: o.RunResilienceRecovery(),
-		Chaos:    o.RunChaos(cfg),
+		Chaos:    runChaos(t, o, cfg),
 	}
 	var buf bytes.Buffer
 	if err := r.Render(&buf); err != nil {
@@ -235,8 +263,8 @@ func TestChaosElapsedReflectsFaultPressure(t *testing.T) {
 	clean.Workloads = []string{"stream"}
 	faulty := DefaultChaosConfig()
 	faulty.Workloads = []string{"stream"}
-	tClean := o.RunChaos(clean).Results[0].ElapsedUs
-	tFaulty := o.RunChaos(faulty).Results[0].ElapsedUs
+	tClean := runChaos(t, o, clean).Results[0].ElapsedUs
+	tFaulty := runChaos(t, o, faulty).Results[0].ElapsedUs
 	if tFaulty <= tClean {
 		t.Fatalf("faults did not cost time: %v us vs %v us", tFaulty, tClean)
 	}

@@ -22,7 +22,6 @@ import (
 	"thymesim/internal/migrate"
 	"thymesim/internal/sim"
 	"thymesim/internal/sweep"
-	"thymesim/internal/telemetry"
 	"thymesim/internal/tfnic"
 	"thymesim/internal/workloads/latmem"
 	"thymesim/internal/workloads/stream"
@@ -52,8 +51,6 @@ type ChaosScheduleConfig struct {
 	// be positive — an unbounded transaction under a crashed lender is a
 	// hang, and the breaker would starve for outcomes.
 	Deadline sim.Duration
-	// SampleEvery is the telemetry sampling interval.
-	SampleEvery sim.Duration
 	// MaxPoisonedFrac bounds the fraction of transactions that may
 	// complete poisoned before the audit flags the campaign (the breaker's
 	// fast-fail should keep the damage well below it).
@@ -92,7 +89,6 @@ func DefaultChaosScheduleConfig() ChaosScheduleConfig {
 		Supervisor:      sup,
 		Breaker:         control.DefaultBreakerConfig(),
 		Deadline:        25 * sim.Microsecond,
-		SampleEvery:     20 * sim.Microsecond,
 		MaxPoisonedFrac: 0.5,
 	}
 }
@@ -124,9 +120,6 @@ func (c ChaosScheduleConfig) Validate() error {
 	}
 	if c.Deadline <= 0 {
 		return fmt.Errorf("core: schedule campaign needs a positive Deadline, got %v", c.Deadline)
-	}
-	if c.SampleEvery <= 0 {
-		return fmt.Errorf("core: schedule sample interval %v", c.SampleEvery)
 	}
 	if c.MaxPoisonedFrac <= 0 || c.MaxPoisonedFrac > 1 {
 		return fmt.Errorf("core: MaxPoisonedFrac %g outside (0,1]", c.MaxPoisonedFrac)
@@ -176,20 +169,8 @@ type ChaosScheduleResult struct {
 	// TripUs is the crash-to-trip latency: how long poisoned fills
 	// accumulated before the breaker started fast-failing.
 	TripUs float64
-	// Samples is how many telemetry rounds observed the counters.
-	Samples uint64
 	// Violations lists failed invariants (empty = campaign passed).
 	Violations []string
-}
-
-// chaosScheduleCounterNames fixes the telemetry counter order.
-var chaosScheduleCounterNames = []string{
-	"backend_poisoned", "backend_expired", "backend_late",
-	"lender_crash_drops", "lender_serves_lost", "lender_wipe_nacks",
-	"ge_bursts", "ge_corrupted",
-	"arq_retransmits", "arq_dead",
-	"breaker_short_circuit", "gate_localized",
-	"sup_downs", "sup_recoveries",
 }
 
 // runChaosSchedule executes one campaign: a latency-sensitive pointer
@@ -240,34 +221,6 @@ func (o Options) runChaosSchedule(cfg ChaosScheduleConfig) (*ChaosScheduleResult
 		return nil, err
 	}
 
-	counters := metrics.NewCounterSet()
-	counters.Declare(chaosScheduleCounterNames...)
-	refresh := func() {
-		b := tb.RemoteBackend()
-		ls := tb.LenderNIC.Stats()
-		st := tb.ARQ.Stats()
-		bs := brk.Stats()
-		ss := sup.Stats()
-		counters.Set("backend_poisoned", b.Poisoned())
-		counters.Set("backend_expired", b.Expired())
-		counters.Set("backend_late", b.LateResponses())
-		counters.Set("lender_crash_drops", ls.CrashDrops)
-		counters.Set("lender_serves_lost", ls.ServesLost)
-		counters.Set("lender_wipe_nacks", ls.WipeNacks)
-		if ge != nil {
-			counters.Set("ge_bursts", ge.Bursts())
-			counters.Set("ge_corrupted", ge.Corrupted())
-		}
-		counters.Set("arq_retransmits", st.Retransmits)
-		counters.Set("arq_dead", st.Dead)
-		counters.Set("breaker_short_circuit", bs.ShortCircuited)
-		counters.Set("gate_localized", mig.Stats().GateLocalized)
-		counters.Set("sup_downs", ss.Downs)
-		counters.Set("sup_recoveries", ss.Recoveries)
-	}
-	sampler := telemetry.NewSampler(tb.K, cfg.SampleEvery)
-	telemetry.RegisterCounterSet(sampler, "sched_", counters)
-
 	// The campaign finishes when both the protected chase and the raw
 	// STREAM traffic complete.
 	res := &ChaosScheduleResult{}
@@ -281,15 +234,9 @@ func (o Options) runChaosSchedule(cfg ChaosScheduleConfig) (*ChaosScheduleResult
 		res.Completed = true
 		doneAt = tb.K.Now()
 		sup.Stop()
-		sampler.Stop()
 	}
 
 	tb.K.At(0, func() {
-		tb.K.Ticker(cfg.SampleEvery, func() bool {
-			refresh()
-			return remaining > 0
-		})
-		sampler.Start()
 		sup.Start()
 
 		// Protected consumer: pointer chase through migrator + breaker.
@@ -308,7 +255,6 @@ func (o Options) runChaosSchedule(cfg ChaosScheduleConfig) (*ChaosScheduleResult
 		stream.New(tb.K, tb.NewRemoteHierarchy(), scfg).Run(func([]stream.Result) { finish() })
 	})
 	tb.K.Run()
-	refresh()
 
 	b := tb.RemoteBackend()
 	st := tb.ARQ.Stats()
@@ -335,7 +281,6 @@ func (o Options) runChaosSchedule(cfg ChaosScheduleConfig) (*ChaosScheduleResult
 	res.GateLocalized = mig.Stats().GateLocalized
 	res.FinalBreaker = brk.State().String()
 	res.Transitions = brk.Transitions()
-	res.Samples = sampler.Samples()
 
 	o.auditChaosSchedule(cfg, tb, brk, res)
 	if len(res.Violations) > 0 {

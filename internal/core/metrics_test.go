@@ -107,16 +107,16 @@ func testbedCounters(t *testing.T, tbs []*cluster.Testbed) map[series]uint64 {
 }
 
 // TestChaosCountersAgree runs the fault-injected chaos campaign with a
-// metrics plane attached and checks that its three counter copies agree:
-// every exported thymesim_*_total series equals the sum of the Stats
-// field or getter it reads, and the campaign's CounterSet equals the same
-// Stats.
+// metrics plane attached and checks that its two readouts of the same
+// Stats agree: every exported thymesim_*_total series equals the sum of
+// the Stats field or getter it reads, and the campaign's aggregate
+// counter table equals the same Stats summed over the runs.
 func TestChaosCountersAgree(t *testing.T) {
 	o := chaosOptions()
 	cfg := DefaultChaosConfig()
 	o.Metrics = metricsplane.New()
 	o.Metrics.SetDumpWriter(nil)
-	rep := o.RunChaos(cfg)
+	rep := runChaos(t, o, cfg)
 	if !rep.OK() {
 		t.Fatalf("campaign failed: %+v", rep.Results)
 	}
@@ -155,7 +155,16 @@ func TestChaosCountersAgree(t *testing.T) {
 		t.Fatal("campaign exported no retransmits: the fault mix did not fire")
 	}
 
-	// The campaign's CounterSet is a third copy of the same Stats.
+	// The aggregate table sums the same Stats, one row per counter in
+	// chaosCounterNames order.
+	if len(rep.Counters.Rows) != len(chaosCounterNames) {
+		t.Fatalf("counter table has %d rows, want %d", len(rep.Counters.Rows), len(chaosCounterNames))
+	}
+	for i, name := range chaosCounterNames {
+		if got := rep.Counters.Cell(i, 0); got != name {
+			t.Errorf("counter row %d = %q, want %q", i, got, name)
+		}
+	}
 	b := metricsplane.ForNode(cluster.BorrowerID)
 	for name, metric := range map[string]string{
 		"arq_retransmits":  "thymesim_arq_retransmits_total",
@@ -164,8 +173,8 @@ func TestChaosCountersAgree(t *testing.T) {
 		"arq_dead":         "thymesim_arq_dead_total",
 		"backend_poisoned": "thymesim_fill_poisoned_total",
 	} {
-		if got, w := rep.Counters.Get(name), want[series{metric, b}]; got != w {
-			t.Errorf("CounterSet %s = %d, Stats sum %d", name, got, w)
+		if got, w := chaosCounter(t, rep, name), want[series{metric, b}]; got != w {
+			t.Errorf("counter table %s = %d, Stats sum %d", name, got, w)
 		}
 	}
 }

@@ -122,10 +122,10 @@ func TestPoolChaosAuditHolds(t *testing.T) {
 }
 
 // TestConcurrentSweepsUnderRace runs two full sweeps side by side — each
-// internally parallel, each registering telemetry probes and counter sets —
-// to prove (under -race) that concurrent testbeds share no mutable state.
+// internally parallel — to prove (under -race) that concurrent testbeds
+// share no mutable state.
 func TestConcurrentSweepsUnderRace(t *testing.T) {
-	run := func(seed uint64) *ChaosReport {
+	run := func(seed uint64) (*ChaosReport, error) {
 		o := fastOptions()
 		o.Seed = seed
 		o.Workers = 2
@@ -136,15 +136,19 @@ func TestConcurrentSweepsUnderRace(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	reps := make([]*ChaosReport, 2)
+	errs := make([]error, 2)
 	for i := range reps {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reps[i] = run(uint64(i + 1))
+			reps[i], errs[i] = run(uint64(i + 1))
 		}(i)
 	}
 	wg.Wait()
 	for i, rep := range reps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
 		if !rep.OK() {
 			t.Errorf("sweep %d: chaos invariants violated: %+v", i, rep.Results)
 		}

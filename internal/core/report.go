@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"thymesim/internal/metrics"
-	"thymesim/internal/sim"
 )
 
 // Report aggregates one full characterization run.
@@ -32,43 +31,6 @@ type Report struct {
 	Schedule   *ChaosScheduleReport
 	BreakerRec *BreakerRecovery
 	Breakdown  *StageBreakdown
-}
-
-// RunAll executes every experiment with default sweeps.
-func (o Options) RunAll() *Report {
-	ccfg := DefaultChaosConfig()
-	ccfg.Seed = o.Seed
-	scfg := DefaultChaosScheduleConfig()
-	scfg.Seed = o.Seed
-	sched, err := o.RunChaosSchedule(scfg)
-	if err != nil {
-		panic(err)
-	}
-	brec, err := o.RunBreakerRecovery()
-	if err != nil {
-		panic(err)
-	}
-	return &Report{
-		Options:    o,
-		Validation: o.RunDelayValidation(DefaultPeriods()),
-		Resilience: o.RunResilience(ResiliencePeriods()),
-		Table1:     o.RunTable1(),
-		Fig5:       o.RunAppDegradation(Fig5Periods()),
-		MCBN:       o.RunMCBN([]int{1, 2, 4, 8}),
-		MCLN:       o.RunMCLN([]int{0, 1, 2, 4, 8}),
-		Pool:       o.RunMCLNPool([]int{0, 1, 2, 4, 8}, 25e9),
-		PoolCont:   o.RunPoolContention([]int{1, 2, 4, 8}, 4),
-		Dists:      o.RunDistImpact(2 * sim.Microsecond),
-		QoS:        o.RunQoSPriority(100),
-		Migration:  o.RunMigration(100),
-		Xconnect:   o.RunInterconnectComparison(),
-		Prefetch:   o.RunPrefetchAblation(250),
-		Recovery:   o.RunResilienceRecovery(),
-		Chaos:      o.RunChaos(ccfg),
-		Schedule:   sched,
-		BreakerRec: brec,
-		Breakdown:  o.RunLatencyBreakdown(DefaultPeriods(), 1),
-	}
 }
 
 // figures returns every figure with a stable file stem.
@@ -378,7 +340,7 @@ func (r *Report) Render(w io.Writer) error {
 			status = "INVARIANT VIOLATIONS — see table"
 		}
 		p("  (%s)\n\n", status)
-		if err := c.Counters.Table("chaos fault/recovery counters").Render(w); err != nil {
+		if err := c.Counters.Render(w); err != nil {
 			return err
 		}
 		p("\n")

@@ -78,6 +78,36 @@ func TestSwitchLatencyApplied(t *testing.T) {
 	}
 }
 
+// TestSwitchHopsLive counts the beats inside the forwarding pipeline:
+// nonzero while they wait out the switch latency, zero once they land,
+// and zero again after a second burst reuses the pooled contexts.
+func TestSwitchHopsLive(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := DefaultSwitchConfig(3)
+	cfg.SwitchLatency = sim.Duration(sim.Microsecond)
+	sw := NewSwitch(k, cfg)
+	burst := func() {
+		for _, dst := range []uint16{1, 2, 1} {
+			p := &ocapi.Packet{Op: ocapi.OpProbe, Src: 0, Dst: dst}
+			sw.ports[0].In.Push(axis.Beat{Bytes: int32(p.WireBytes()), Pkt: p})
+		}
+	}
+	for round := 0; round < 2; round++ {
+		k.At(k.Now(), burst)
+		k.RunUntil(k.Now().Add(sim.Duration(sim.Microsecond) / 2))
+		if n := sw.HopsLive(); n != 3 {
+			t.Fatalf("round %d: %d hops live mid-latency, want 3", round, n)
+		}
+		k.Run()
+		if n := sw.HopsLive(); n != 0 {
+			t.Fatalf("round %d: %d hops live after drain", round, n)
+		}
+	}
+	if sw.Forwarded() != 6 {
+		t.Fatalf("forwarded = %d, want 6", sw.Forwarded())
+	}
+}
+
 // TestSwitchForwardingZeroAlloc pins that a warmed switch forwards beats
 // without allocating: each beat in the forwarding pipeline rides a pooled
 // hop context, not a per-beat closure.

@@ -98,8 +98,9 @@ type Switch struct {
 
 	// free is an intrusive free list of hop contexts; each beat in the
 	// forwarding pipeline borrows one, so a warmed switch forwards
-	// without allocating.
+	// without allocating. hops counts the contexts ever allocated.
 	free *hop
+	hops int
 }
 
 // hop carries one beat through the switch latency to its output queue:
@@ -209,6 +210,7 @@ func (s *Switch) forwardLoop(port int, in *axis.FIFO, outs []*axis.FIFO) {
 			h := s.free
 			if h == nil {
 				h = &hop{s: s}
+				s.hops++
 			} else {
 				s.free = h.next
 				h.next = nil
@@ -246,6 +248,17 @@ func (s *Switch) PeakOccupancy(port int) int { return s.peakOcc[port] }
 // the switch pushes to an output queue, so its push count is the port's
 // share of Forwarded.
 func (s *Switch) PortForwarded(port int) uint64 { return s.ports[port].Out.Pushed() }
+
+// HopsLive returns the hop contexts borrowed and not yet returned: the
+// beats inside the forwarding pipeline, 0 once drained. It walks the
+// free list, so the per-beat path keeps no live count.
+func (s *Switch) HopsLive() int {
+	n := s.hops
+	for h := s.free; h != nil; h = h.next {
+		n--
+	}
+	return n
+}
 
 // QueueDepth returns the given output queue's current depth.
 func (s *Switch) QueueDepth(port int) int { return s.ports[port].Out.Len() }

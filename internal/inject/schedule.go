@@ -8,6 +8,7 @@ package inject
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"thymesim/internal/sim"
@@ -90,8 +91,8 @@ func (s Schedule) Validate() error {
 			}
 			crashed = false
 		case OpBrownout:
-			if ev.Factor < 1 {
-				return fmt.Errorf("inject: schedule event %d brownout factor %g < 1", i, ev.Factor)
+			if !(ev.Factor >= 1) || math.IsInf(ev.Factor, 1) {
+				return fmt.Errorf("inject: schedule event %d brownout factor %g is not a finite value >= 1", i, ev.Factor)
 			}
 		case OpBurstStart:
 			if burst {

@@ -2,6 +2,7 @@ package inject
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"thymesim/internal/sim"
@@ -41,6 +42,8 @@ func TestScheduleValidate(t *testing.T) {
 		{"burst end without start", Schedule{{At: us(1), Op: OpBurstEnd}}, false},
 		{"burst start unclosed", Schedule{{At: us(1), Op: OpBurstStart}}, false},
 		{"brownout factor below one", Schedule{{At: us(1), Op: OpBrownout, Factor: 0.5}}, false},
+		{"brownout factor NaN", Schedule{{At: us(1), Op: OpBrownout, Factor: math.NaN()}}, false},
+		{"brownout factor +Inf", Schedule{{At: us(1), Op: OpBrownout, Factor: math.Inf(1)}}, false},
 		{"paired crash", Schedule{
 			{At: us(1), Op: OpLenderCrash},
 			{At: us(2), Op: OpLenderRestore, Wipe: true}}, true},
@@ -122,4 +125,116 @@ func TestScheduleFaultsRejectsInvalid(t *testing.T) {
 	if len(tgt.log) != 0 {
 		t.Fatalf("invalid schedule still fired: %v", tgt.log)
 	}
+}
+
+// replayTarget checks each action against the fault state it is applied
+// to: the lender crashes only while up and restores only while down, a
+// burst window opens only while closed and closes only while open, and a
+// brownout factor is finite and at least 1.
+type replayTarget struct {
+	t            *testing.T
+	k            *sim.Kernel
+	down, burst  bool
+	fired        int
+	last         sim.Time
+	crashes, ups int
+}
+
+func (r *replayTarget) step(what string) {
+	r.t.Helper()
+	if now := r.k.Now(); now < r.last {
+		r.t.Fatalf("%s at %v after an action at %v", what, now, r.last)
+	}
+	r.last = r.k.Now()
+	r.fired++
+}
+
+func (r *replayTarget) CrashLender() {
+	r.step("crash")
+	if r.down {
+		r.t.Fatalf("crash at %v of a crashed lender", r.k.Now())
+	}
+	r.down = true
+	r.crashes++
+}
+
+func (r *replayTarget) RestoreLender(bool) {
+	r.step("restore")
+	if !r.down {
+		r.t.Fatalf("restore at %v of a lender that is up", r.k.Now())
+	}
+	r.down = false
+	r.ups++
+}
+
+func (r *replayTarget) SetLenderSlowdown(f float64) {
+	r.step("brownout")
+	if !(f >= 1) || math.IsInf(f, 1) {
+		r.t.Fatalf("brownout factor %g at %v", f, r.k.Now())
+	}
+}
+
+func (r *replayTarget) ForceBurstErrors(active bool) {
+	r.step("burst")
+	if active == r.burst {
+		r.t.Fatalf("burst(%t) at %v with the window already in that state", active, r.k.Now())
+	}
+	r.burst = active
+}
+
+// FuzzScheduleValidate decodes arbitrary bytes into a fault schedule,
+// four bytes per event: a signed 16-bit time in microseconds, an op byte
+// (covering both ends of the valid range and beyond) and a factor byte
+// (NaN and +Inf included). Validate must never panic, and a schedule it
+// accepts must replay through ScheduleFaults with crash and restore
+// alternating, burst windows balanced, every event fired in time order,
+// and the lender up at the end.
+func FuzzScheduleValidate(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 0, 0, 2, 2, 1})                         // crash, restore with wipe
+	f.Add([]byte{0, 1, 4, 0, 0, 2, 5, 0})                         // burst window
+	f.Add([]byte{0, 1, 3, 64, 0, 2, 3, 16})                       // brownout ramp to 1
+	f.Add([]byte{0, 1, 3, 255})                                   // NaN factor
+	f.Add([]byte{0, 1, 3, 254})                                   // +Inf factor
+	f.Add([]byte{255, 255, 1, 0, 0, 1, 2, 0})                     // negative time
+	f.Add([]byte{0, 5, 2, 0, 0, 5, 1, 0})                         // tie: restore listed first
+	f.Add([]byte{0, 1, 1, 0, 0, 1, 1, 0, 0, 2, 2, 0, 0, 3, 2, 0}) // double crash
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 6, 0})                         // unknown ops
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4*256 {
+			t.Skip("bounded schedules keep the replay small")
+		}
+		var s Schedule
+		for ; len(data) >= 4; data = data[4:] {
+			ev := FaultEvent{
+				At:     sim.Time(int16(uint16(data[0])<<8|uint16(data[1]))) * sim.Time(sim.Microsecond),
+				Op:     FaultOp(int(data[2]%8) - 1),
+				Factor: float64(data[3]) / 16,
+				Wipe:   data[3]&1 == 1,
+			}
+			switch data[3] {
+			case 255:
+				ev.Factor = math.NaN()
+			case 254:
+				ev.Factor = math.Inf(1)
+			}
+			s = append(s, ev)
+		}
+		err := s.Validate()
+		k := sim.NewKernel()
+		r := &replayTarget{t: t, k: k}
+		if armErr := ScheduleFaults(k, r, s); (armErr == nil) != (err == nil) {
+			t.Fatalf("Validate = %v but ScheduleFaults = %v", err, armErr)
+		}
+		if err != nil {
+			return
+		}
+		k.Run()
+		if r.fired != len(s) {
+			t.Fatalf("fired %d of %d events", r.fired, len(s))
+		}
+		if r.down || r.burst || r.crashes != r.ups {
+			t.Fatalf("replay ended with lender down %t, burst open %t, %d crashes / %d restores",
+				r.down, r.burst, r.crashes, r.ups)
+		}
+	})
 }

@@ -3,20 +3,19 @@ package metrics
 import (
 	"bytes"
 	"encoding/csv"
-	"strconv"
+	"slices"
 	"testing"
 )
 
-// TestCounterSetWriteCSVRoundTrip proves WriteCSV output parses back into
-// an equivalent counter set with a standards-compliant CSV reader,
-// including names that require quoting.
-func TestCounterSetWriteCSVRoundTrip(t *testing.T) {
-	orig := NewCounterSet()
-	orig.Declare("drops", "retransmits")
-	orig.Add("drops", 17)
-	orig.Add("weird,name", 3) // needs csvEscape quoting
-	orig.Add(`quote"name`, 5)
-	orig.Set("retransmits", 0)
+// TestTableWriteCSVRoundTrip proves WriteCSV output parses back into the
+// same cells with a standards-compliant CSV reader, including cells that
+// require quoting.
+func TestTableWriteCSVRoundTrip(t *testing.T) {
+	orig := &Table{Columns: []string{"counter", "value"}}
+	orig.AddRow("drops", "17")
+	orig.AddRow("weird,name", "3") // needs csvEscape quoting
+	orig.AddRow(`quote"name`, "5")
+	orig.AddRow("retransmits", "0")
 
 	var buf bytes.Buffer
 	if err := orig.WriteCSV(&buf); err != nil {
@@ -27,27 +26,15 @@ func TestCounterSetWriteCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WriteCSV output does not re-parse: %v", err)
 	}
-	if len(rows) != 5 || rows[0][0] != "counter" || rows[0][1] != "value" {
+	if !slices.Equal(rows[0], orig.Columns) {
+		t.Fatalf("header = %v, want %v", rows[0], orig.Columns)
+	}
+	if len(rows)-1 != len(orig.Rows) {
 		t.Fatalf("rows = %v", rows)
 	}
-	back := NewCounterSet()
-	for _, row := range rows[1:] {
-		v, err := strconv.ParseUint(row[1], 10, 64)
-		if err != nil {
-			t.Fatalf("value %q: %v", row[1], err)
-		}
-		back.Set(row[0], v)
-	}
-	names := orig.Names()
-	if got := back.Names(); len(got) != len(names) {
-		t.Fatalf("round-trip names = %v, want %v", got, names)
-	}
-	for i, n := range names {
-		if back.Names()[i] != n {
-			t.Fatalf("name order changed: %v vs %v", back.Names(), names)
-		}
-		if back.Get(n) != orig.Get(n) {
-			t.Fatalf("counter %q = %d after round trip, want %d", n, back.Get(n), orig.Get(n))
+	for i, row := range rows[1:] {
+		if !slices.Equal(row, orig.Rows[i]) {
+			t.Fatalf("row %d = %q after round trip, want %q", i, row, orig.Rows[i])
 		}
 	}
 }

@@ -158,6 +158,30 @@ func TestTableRenderAndLookup(t *testing.T) {
 	}
 }
 
+// TestCounterSetTableAndCSV checks the counter/value table shape that a
+// set of named counters is reported in (chaos_counters.csv): rows keep
+// insertion order, Lookup finds a counter's value, and the CSV starts
+// with the counter,value header.
+func TestCounterSetTableAndCSV(t *testing.T) {
+	tab := &Table{Title: "chaos counters", Columns: []string{"counter", "value"}}
+	tab.AddRow("drops", "11")
+	tab.AddRow("corruptions", "2")
+	if len(tab.Rows) != 2 || tab.Rows[0][0] != "drops" || tab.Rows[1][0] != "corruptions" {
+		t.Fatalf("rows = %v", tab.Rows)
+	}
+	if v, ok := tab.Lookup("drops", "value"); !ok || v != "11" {
+		t.Fatalf("lookup drops = %q, %v", v, ok)
+	}
+	var buf bytes.Buffer
+	if err := tab.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.HasPrefix(out, "counter,value\n") || !strings.Contains(out, "drops,11\n") {
+		t.Fatalf("csv = %q", out)
+	}
+}
+
 func TestTableRowMismatchPanics(t *testing.T) {
 	tb := &Table{Columns: []string{"a", "b"}}
 	defer func() {

@@ -27,7 +27,6 @@ import (
 
 	"thymesim/internal/metrics"
 	"thymesim/internal/sim"
-	"thymesim/internal/telemetry"
 )
 
 // Stage identifies one segment of the datapath a transaction traverses.
@@ -560,19 +559,4 @@ func (t *Tracer) BreakdownTable(title string) *metrics.Table {
 		fmt.Sprintf("%.4f", t.e2e.Quantile(0.99)),
 		"100.0")
 	return tbl
-}
-
-// RegisterProbes registers span observables on a telemetry sampler: the
-// finished/live span counts and each stage's running mean contribution.
-// Call before s.Start.
-func (t *Tracer) RegisterProbes(s *telemetry.Sampler) {
-	if t == nil {
-		return
-	}
-	s.Register("span_finished", func() float64 { return float64(t.Finished()) })
-	s.Register("span_live", func() float64 { return float64(t.Live()) })
-	for st := Stage(0); st < StageOther; st++ {
-		st := st
-		s.Register("span_"+st.String()+"_mean_us", func() float64 { return t.StageMeanUs(st) })
-	}
 }

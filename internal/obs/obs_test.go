@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"thymesim/internal/sim"
-	"thymesim/internal/telemetry"
 )
 
 func TestNilTracerIsDisabledNoOp(t *testing.T) {
@@ -22,7 +21,6 @@ func TestNilTracerIsDisabledNoOp(t *testing.T) {
 	tr.Enter(id, StageMSHR)
 	tr.Finish(id)
 	tr.Instant("evict", 0)
-	tr.RegisterProbes(nil)
 	if tr.Started() != 0 || tr.Finished() != 0 || tr.Live() != 0 ||
 		tr.Skipped() != 0 || tr.Truncated() != 0 || tr.Retained() != 0 {
 		t.Fatal("nil tracer counters nonzero")
@@ -247,28 +245,5 @@ func TestWriteChromeTraceShape(t *testing.T) {
 	}
 	if parsed.DisplayTimeUnit != "ns" {
 		t.Fatalf("displayTimeUnit = %q", parsed.DisplayTimeUnit)
-	}
-}
-
-func TestRegisterProbesNames(t *testing.T) {
-	k := sim.NewKernel()
-	tr := New(k, Config{})
-	s := telemetry.NewSampler(k, sim.Duration(sim.Microsecond))
-	tr.RegisterProbes(s)
-	names := map[string]bool{}
-	for _, n := range s.Names() {
-		names[n] = true
-	}
-	if !names["span_finished"] || !names["span_live"] {
-		t.Fatalf("probe names = %v", s.Names())
-	}
-	for st := Stage(0); st < StageOther; st++ {
-		if !names["span_"+st.String()+"_mean_us"] {
-			t.Fatalf("missing probe for stage %v in %v", st, s.Names())
-		}
-	}
-	// 2 counters + one mean per real stage.
-	if got, want := len(s.Names()), 2+int(StageOther); got != want {
-		t.Fatalf("probe count = %d, want %d", got, want)
 	}
 }
