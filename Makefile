@@ -25,8 +25,8 @@ bench-test:
 # Fuzz each target for FUZZTIME (10s by default) on top of its seed
 # corpus: a short per-change exploration of the kernel's event order, the
 # trace reader, the allocator, the ARQ's dense transaction table, the
-# axis FIFO ring, the experiment options' validation and the fault
-# schedule's validation and replay.
+# axis FIFO ring, the experiment options' validation, the testbed
+# config's validation and the fault schedule's validation and replay.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzKernelOrder:./internal/sim \
 	FuzzTraceReader:./internal/trace \
@@ -34,6 +34,7 @@ FUZZ_TARGETS = FuzzKernelOrder:./internal/sim \
 	FuzzARQResponseStream:./internal/tfnic \
 	FuzzFIFO:./internal/axis \
 	FuzzOptionsValidate:./internal/core \
+	FuzzConfigValidate:./internal/cluster \
 	FuzzScheduleValidate:./internal/inject
 
 fuzz-smoke:

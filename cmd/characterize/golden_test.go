@@ -14,7 +14,12 @@ import (
 // together, and the CSV files they write under results/. chaos and
 // schedule cover the fault-injection kernels (ARQ timers, supervisor
 // heartbeats, breaker dwells), where a reordered event shifts counters.
+// validation and breakdown cover the link: a shifted wire time moves the
+// Fig. 2/3 latency and bandwidth, and a misplaced link-stage stamp moves
+// Table I's breakdown.
 var fastGolden = map[string][]string{
+	"validation":   {"fig2_latency.csv", "fig3_bandwidth.csv", "fig3_bdp.csv"},
+	"breakdown":    {"table1_breakdown.csv"},
 	"resilience":   {"fig4_attach.csv", "fig4_resilience.csv"},
 	"dists":        {"ablation_dists.csv", "ablation_dists_table.csv"},
 	"qos":          {"ablation_qos.csv"},

@@ -346,24 +346,6 @@ func TestRouterHeadOfLineBlocking(t *testing.T) {
 	}
 }
 
-func TestProbe(t *testing.T) {
-	k := sim.NewKernel()
-	p := NewProbe(k)
-	k.At(100, func() { p.Observe(Beat{Bytes: 64, Born: 0}) })
-	k.At(200, func() { p.Observe(Beat{Bytes: 64, Born: 100}) })
-	k.Run()
-	if p.Beats() != 2 || p.Bytes() != 128 {
-		t.Fatalf("beats=%d bytes=%d", p.Beats(), p.Bytes())
-	}
-	if p.MeanAge() != 100 {
-		t.Fatalf("mean age = %v", p.MeanAge())
-	}
-	want := 128.0 / sim.Duration(100).Seconds()
-	if got := p.ThroughputBps(); got != want {
-		t.Fatalf("throughput = %v, want %v", got, want)
-	}
-}
-
 // Property: no beats are lost or duplicated through a pump chain, and FIFO
 // order is preserved, for arbitrary arrival patterns.
 func TestPumpConservationProperty(t *testing.T) {

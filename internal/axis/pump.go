@@ -318,52 +318,3 @@ func (r *Router) fire() {
 	out.Push(b)
 	r.kick()
 }
-
-// Probe measures the latency of beats between two pipeline points using
-// Beat.Born timestamps, and throughput at its observation point.
-type Probe struct {
-	k       *sim.Kernel
-	beats   uint64
-	bytes   uint64
-	firstAt sim.Time
-	lastAt  sim.Time
-	ageSum  sim.Duration
-}
-
-// NewProbe returns a probe bound to kernel k.
-func NewProbe(k *sim.Kernel) *Probe { return &Probe{k: k} }
-
-// Observe records the passage of b at the current instant.
-func (p *Probe) Observe(b Beat) {
-	now := p.k.Now()
-	if p.beats == 0 {
-		p.firstAt = now
-	}
-	p.lastAt = now
-	p.beats++
-	p.bytes += uint64(b.Bytes)
-	p.ageSum += now.Sub(b.Born)
-}
-
-// Beats returns the number of observations.
-func (p *Probe) Beats() uint64 { return p.beats }
-
-// Bytes returns the cumulative observed wire bytes.
-func (p *Probe) Bytes() uint64 { return p.bytes }
-
-// MeanAge returns the mean Born-to-observation latency.
-func (p *Probe) MeanAge() sim.Duration {
-	if p.beats == 0 {
-		return 0
-	}
-	return p.ageSum / sim.Duration(p.beats)
-}
-
-// ThroughputBps returns observed bytes/second between first and last
-// observation (0 with fewer than 2 beats).
-func (p *Probe) ThroughputBps() float64 {
-	if p.beats < 2 || p.lastAt == p.firstAt {
-		return 0
-	}
-	return float64(p.bytes) / p.lastAt.Sub(p.firstAt).Seconds()
-}

@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"thymesim/internal/axis"
 	"thymesim/internal/cache"
@@ -118,13 +119,35 @@ func DefaultConfig(period int64) Config {
 	}
 }
 
+// maxLatency bounds every configured latency and the injector's slot
+// (PERIOD FPGA cycles): a simulated second is a million times the
+// prototype's round trip and keeps sim.Time arithmetic far from overflow.
+const maxLatency = sim.Second
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
+	if c.FPGACycle <= 0 || c.FPGACycle > maxLatency {
+		return fmt.Errorf("cluster: FPGACycle = %v (want 0 < cycle <= %v)", c.FPGACycle, maxLatency)
+	}
 	if c.Period < 0 {
 		return fmt.Errorf("cluster: PERIOD = %d", c.Period)
 	}
 	if c.Gate == nil && c.Period == 0 {
 		return fmt.Errorf("cluster: need Period >= 1 or a Gate")
+	}
+	if c.Gate == nil && c.Period > int64(maxLatency/c.FPGACycle) {
+		return fmt.Errorf("cluster: PERIOD = %d makes an injector slot longer than %v", c.Period, maxLatency)
+	}
+	for _, l := range []struct {
+		name string
+		d    sim.Duration
+	}{{"PortLatency", c.PortLatency}, {"NICPipeline", c.NICPipeline}, {"LinkPropagation", c.LinkPropagation}} {
+		if l.d < 0 || l.d > maxLatency {
+			return fmt.Errorf("cluster: %s = %v (want 0 <= latency <= %v)", l.name, l.d, maxLatency)
+		}
+	}
+	if !(c.LinkBandwidthBps >= 1) || math.IsInf(c.LinkBandwidthBps, 1) {
+		return fmt.Errorf("cluster: LinkBandwidthBps = %v (want a finite rate of at least 1 B/s)", c.LinkBandwidthBps)
 	}
 	if c.MSHRs <= 0 || c.TagSpace < c.MSHRs {
 		return fmt.Errorf("cluster: MSHRs=%d TagSpace=%d (tags must cover MSHRs)", c.MSHRs, c.TagSpace)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -29,6 +30,82 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("unaligned window accepted")
 	}
+	// Timing fields that used to reach panics in the NIC, channel or
+	// injector constructors are rejected up front.
+	for name, mutate := range map[string]func(*Config){
+		"zero FPGA cycle":          func(c *Config) { c.FPGACycle = 0 },
+		"negative FPGA cycle":      func(c *Config) { c.FPGACycle = -1 },
+		"FPGA cycle over a second": func(c *Config) { c.FPGACycle = sim.Second + 1 },
+		"injector slot too long":   func(c *Config) { c.Period = int64(sim.Second/c.FPGACycle) + 1 },
+		"negative NIC pipeline":    func(c *Config) { c.NICPipeline = -1 },
+		"negative port latency":    func(c *Config) { c.PortLatency = -1 },
+		"negative propagation":     func(c *Config) { c.LinkPropagation = -1 },
+		"propagation too long":     func(c *Config) { c.LinkPropagation = sim.Second + 1 },
+		"zero bandwidth":           func(c *Config) { c.LinkBandwidthBps = 0 },
+		"negative bandwidth":       func(c *Config) { c.LinkBandwidthBps = -1 },
+		"NaN bandwidth":            func(c *Config) { c.LinkBandwidthBps = math.NaN() },
+		"infinite bandwidth":       func(c *Config) { c.LinkBandwidthBps = math.Inf(1) },
+	} {
+		c := DefaultConfig(1)
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	edge := DefaultConfig(int64(sim.Second / DefaultConfig(1).FPGACycle))
+	edge.NICPipeline, edge.PortLatency, edge.LinkPropagation = 0, 0, sim.Second
+	if err := edge.Validate(); err != nil {
+		t.Errorf("boundary config rejected: %v", err)
+	}
+}
+
+// FuzzConfigValidate checks the config's timing fields: an accepted
+// config must build and drain a 1×1 testbed and a 2×1 pool without
+// panicking.
+func FuzzConfigValidate(f *testing.F) {
+	d := DefaultConfig(1)
+	f.Add(int64(d.FPGACycle), int64(1), int64(d.NICPipeline), int64(d.PortLatency), int64(d.LinkPropagation), d.LinkBandwidthBps)
+	f.Add(int64(0), int64(1), int64(0), int64(0), int64(0), 1e9)
+	f.Add(int64(1), int64(1)<<40, int64(-1), int64(0), int64(0), 1.0)
+	f.Add(int64(sim.Second), int64(1), int64(sim.Second), int64(sim.Second), int64(sim.Second), 1.0)
+	f.Add(int64(4000), int64(2), int64(0), int64(0), int64(0), math.Inf(1))
+	f.Fuzz(func(t *testing.T, cycle, period, pipeline, port, prop int64, bw float64) {
+		c := DefaultConfig(period)
+		c.FPGACycle, c.NICPipeline, c.PortLatency, c.LinkPropagation = sim.Duration(cycle), sim.Duration(pipeline), sim.Duration(port), sim.Duration(prop)
+		c.LinkBandwidthBps = bw
+		c.MSHRs, c.TagSpace = 4, 8
+		if c.Validate() != nil {
+			return
+		}
+		tb := NewTestbed(c)
+		h := tb.NewRemoteHierarchy()
+		tb.K.At(0, func() {
+			for i := 0; i < 8; i++ {
+				h.Access(tb.RemoteAddr(uint64(i)*ocapi.CacheLineSize), 8, i%2 == 0, nil)
+			}
+		})
+		tb.K.Run()
+		if h.OutstandingFills() != 0 {
+			t.Fatalf("testbed: %d fills outstanding after drain", h.OutstandingFills())
+		}
+		p := NewPool(PoolConfig{Borrowers: 2, Lenders: 1, Base: c, LenderCapacity: 1 << 30})
+		for i := range p.Borrowers {
+			r, err := p.Attach(i, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := p.Borrowers[i].NewRemoteHierarchy()
+			p.K.At(0, func() {
+				for j := 0; j < 8; j++ {
+					h.Access(r.Addr(uint64(j)*ocapi.CacheLineSize), 8, j%2 == 1, nil)
+				}
+			})
+		}
+		p.K.Run()
+		if n := p.K.Pending(); n != 0 {
+			t.Fatalf("pool: %d events pending after drain", n)
+		}
+	})
 }
 
 func TestSingleRemoteReadRTT(t *testing.T) {

@@ -111,7 +111,6 @@ func publishNIC(pb *metricsplane.Publisher, l metricsplane.Labels, n *tfnic.NIC)
 	pb.Counter("thymesim_nic_crash_drops_total", "Packets black-holed by a crashed NIC.", l, st.CrashDrops)
 	pb.Counter("thymesim_nic_serves_lost_total", "In-flight serves lost to a crash epoch.", l, st.ServesLost)
 	pb.Counter("thymesim_nic_wipe_nacks_total", "Block ops nacked by a wiped window.", l, st.WipeNacks)
-	pb.Gauge("thymesim_nic_flights_live", "Delay-line flight contexts borrowed and not returned.", l, float64(n.FlightsLive()))
 	pb.Gauge("thymesim_nic_injector_backlog", "Requests queued at the delay injector at publish.", l, float64(n.InjectorBacklog()))
 }
 
@@ -149,7 +148,7 @@ func publishChannel(pb *metricsplane.Publisher, l metricsplane.Labels, c *netlin
 	pb.Counter("thymesim_link_flits_delivered_total", "Flits delivered on this directed channel.", l, c.Delivered())
 	pb.Counter("thymesim_link_bytes_total", "Bytes delivered on this directed channel.", l, c.Bytes())
 	pb.Gauge("thymesim_link_utilization", "Wire busy fraction since start.", l, c.Utilization())
-	pb.Gauge("thymesim_link_flights_live", "Wire flight contexts borrowed and not returned.", l, float64(c.FlightsLive()))
+	pb.Gauge("thymesim_link_flights_live", "Beats in the cable's segment: off the sender's queue, not yet in the receiver's.", l, float64(c.FlightsLive()))
 }
 
 // publishCaches publishes a node's LLC counters summed over its caches;

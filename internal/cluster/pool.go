@@ -221,8 +221,8 @@ func NewPool(cfg PoolConfig) *Pool {
 		b.NIC = tfnic.New(k, nicCfg(BorrowerID, 1), b.gate, nil)
 		lNIC := tfnic.New(k, nicCfg(LenderID, 1), nil, lMem)
 		p.Link = netlink.NewLink(k,
-			b.NIC.TxQ, lNIC.RxQ,
-			lNIC.TxQ, b.NIC.RxQ,
+			b.NIC.Egress(), lNIC.Ingress(),
+			lNIC.Egress(), b.NIC.Ingress(),
 			base.LinkBandwidthBps, base.LinkPropagation)
 		b.finishWiring()
 		p.Borrowers = append(p.Borrowers, b)
@@ -242,7 +242,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	swCfg.InputQueue = 2*base.TagSpace*cfg.Borrowers + 64
 	p.Switch = fabric.NewSwitch(k, swCfg)
 	attach := func(id int, nic *tfnic.NIC) {
-		p.links = append(p.links, p.Switch.AttachNIC(id, fabric.NICPorts{TxQ: nic.TxQ, RxQ: nic.RxQ}))
+		p.links = append(p.links, p.Switch.AttachNIC(id, fabric.NICPorts{Egress: nic.Egress(), Ingress: nic.Ingress()}))
 	}
 	for i := 0; i < cfg.Borrowers; i++ {
 		b := &BorrowerNode{p: p, ID: i, K: k, gate: gateFor(i)}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"thymesim/internal/axis"
+	"thymesim/internal/netlink"
 	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
 )
@@ -256,15 +257,17 @@ func TestSwitchWakeOrderWhileReblocking(t *testing.T) {
 func TestSwitchRejectsDoubleAttach(t *testing.T) {
 	k := sim.NewKernel()
 	sw := NewSwitch(k, DefaultSwitchConfig(2))
-	nic := NICPorts{
-		TxQ: axis.NewFIFO("tx", 4),
-		RxQ: axis.NewFIFO("rx", 4),
+	ports := func(name string) NICPorts {
+		return NICPorts{
+			Egress:  netlink.Side{Q: axis.NewFIFO(name+"-tx", 4)},
+			Ingress: netlink.Side{Q: axis.NewFIFO(name+"-rx", 4)},
+		}
 	}
-	sw.AttachNIC(0, nic)
+	sw.AttachNIC(0, ports("a"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double attach accepted")
 		}
 	}()
-	sw.AttachNIC(0, NICPorts{TxQ: axis.NewFIFO("tx2", 4), RxQ: axis.NewFIFO("rx2", 4)})
+	sw.AttachNIC(0, ports("b"))
 }

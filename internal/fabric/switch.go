@@ -130,8 +130,7 @@ func (h *hop) Handle(uint64) {
 }
 
 // NewSwitch builds the switch and its port FIFOs; devices are attached by
-// connecting their NIC TxQ/RxQ to a port via netlink channels (see
-// AttachNIC).
+// cabling their NIC's egress and ingress to a port (see AttachNIC).
 func NewSwitch(k *sim.Kernel, cfg SwitchConfig) *Switch {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -263,16 +262,19 @@ func (s *Switch) HopsLive() int {
 // QueueDepth returns the given output queue's current depth.
 func (s *Switch) QueueDepth(port int) int { return s.ports[port].Out.Len() }
 
-// NICPorts is the FIFO surface a NIC exposes (satisfied by *tfnic.NIC via
-// its exported TxQ/RxQ fields wrapped by the caller).
+// NICPorts is a NIC's side of its cable (tfnic.NIC's Egress and
+// Ingress).
 type NICPorts struct {
-	TxQ *axis.FIFO
-	RxQ *axis.FIFO
+	Egress  netlink.Side
+	Ingress netlink.Side
 }
 
-// AttachNIC cables a NIC to switch port i with a full-duplex link. Each
-// port takes exactly one NIC: double-attaching would silently interleave
-// two devices on one queue pair.
+// AttachNIC cables a NIC to switch port i with a full-duplex link: toward
+// the switch, one event per beat lands it in the input queue; from the
+// switch, the output queue is paced, because the forwarding engines'
+// credit checks read its occupancy. Each port takes exactly one NIC:
+// double-attaching would silently interleave two devices on one queue
+// pair.
 func (s *Switch) AttachNIC(i int, nic NICPorts) *netlink.Link {
 	if i < 0 || i >= len(s.ports) {
 		panic(fmt.Sprintf("fabric: port %d out of range", i))
@@ -283,7 +285,7 @@ func (s *Switch) AttachNIC(i int, nic NICPorts) *netlink.Link {
 	s.attached[i] = true
 	p := s.ports[i]
 	return netlink.NewLink(s.k,
-		nic.TxQ, p.In, // NIC -> switch
-		p.Out, nic.RxQ, // switch -> NIC
+		nic.Egress, netlink.Side{Q: p.In}, // NIC -> switch
+		netlink.Side{Q: p.Out, Paced: true}, nic.Ingress, // switch -> NIC
 		s.cfg.LinkBandwidthBps, s.cfg.LinkPropagation)
 }

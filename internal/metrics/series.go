@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -337,9 +336,4 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// SortSeriesByX sorts the points of a series by ascending x.
-func SortSeriesByX(s *Series) {
-	sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].X < s.Points[j].X })
 }

@@ -62,19 +62,6 @@ func TestSeriesAccessors(t *testing.T) {
 	}
 }
 
-func TestSortSeriesByX(t *testing.T) {
-	s := &Series{}
-	s.Add(3, 30)
-	s.Add(1, 10)
-	s.Add(2, 20)
-	SortSeriesByX(s)
-	for i, p := range s.Points {
-		if p.X != float64(i+1) {
-			t.Fatalf("not sorted: %v", s.Points)
-		}
-	}
-}
-
 func TestFigureCSV(t *testing.T) {
 	f := &Figure{Title: "Fig", XLabel: "period", YLabel: "latency,us"}
 	a := f.AddSeries("stream")

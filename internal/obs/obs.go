@@ -305,15 +305,38 @@ func (t *Tracer) Enter(id SpanID, st Stage) {
 	if t == nil || id == 0 {
 		return
 	}
+	t.EnterAt(id, st, t.k.Now())
+}
+
+// EnterAt records that span id moves into stage st at instant at, which
+// may lie in the future: a hop that computes when a beat will cross a
+// stage boundary stamps it then instead of waking up for it. Transitions
+// stay in time order, a later-stamped one going after those at the same
+// instant, and Finish ignores those past the span's end, so the span
+// aggregates as if each had been entered at its instant. When the span's
+// transitions are full the latest one is dropped and counted, as Enter
+// alone would have dropped it. No-op for disabled tracers and zero ids.
+func (t *Tracer) EnterAt(id SpanID, st Stage, at sim.Time) {
+	if t == nil || id == 0 {
+		return
+	}
 	sp := t.lookup(id)
 	if sp == nil {
 		return
 	}
+	i := int(sp.n)
+	for i > 0 && sp.tr[i-1].at > at {
+		i--
+	}
 	if int(sp.n) == len(sp.tr) {
 		sp.trunc++
-		return
+		if i == len(sp.tr) {
+			return
+		}
+		sp.n--
 	}
-	sp.tr[sp.n] = transition{at: t.k.Now(), stage: st}
+	copy(sp.tr[i+1:sp.n+1], sp.tr[i:sp.n])
+	sp.tr[i] = transition{at: at, stage: st}
 	sp.n++
 }
 
@@ -329,6 +352,9 @@ func (t *Tracer) Finish(id SpanID) {
 		return
 	}
 	end := t.k.Now()
+	for sp.n > 0 && sp.tr[sp.n-1].at > end {
+		sp.n-- // stamped ahead for an instant the span did not live to
+	}
 	total := end.Sub(sp.start)
 	t.finished++
 	if sp.trunc > 0 {

@@ -247,3 +247,49 @@ func TestWriteChromeTraceShape(t *testing.T) {
 		t.Fatalf("displayTimeUnit = %q", parsed.DisplayTimeUnit)
 	}
 }
+
+// TestEnterAtMatchesEnterAtTheInstant stamps stages ahead of time and
+// checks that the span aggregates exactly as one whose stages were
+// entered when they happened: a later present-time Enter lands before a
+// stamp still in the future, and a span that finishes before its last
+// stamps drops them.
+func TestEnterAtMatchesEnterAtTheInstant(t *testing.T) {
+	ns := func(v int64) sim.Time { return sim.Time(v * int64(sim.Nanosecond)) }
+	// live enters each stage at its instant; ahead stamps the link and
+	// ingress stages at 10 ns, when the beat leaves the egress queue.
+	// Both finish at end.
+	run := func(ahead bool, end int64) *Tracer {
+		k := sim.NewKernel()
+		tr := New(k, Config{})
+		var id SpanID
+		at := func(v int64, fn func()) { k.At(ns(v), fn) }
+		at(0, func() { id = tr.Start(KindRead, 0); tr.Enter(id, StageNICTx) })
+		if ahead {
+			at(10, func() {
+				tr.EnterAt(id, StageLinkRequest, ns(30))
+				tr.EnterAt(id, StageLenderIngress, ns(80))
+			})
+		} else {
+			at(30, func() { tr.Enter(id, StageLinkRequest) })
+			at(80, func() { tr.Enter(id, StageLenderIngress) })
+		}
+		at(50, func() { tr.Enter(id, StageOther) }) // between the two stamps
+		at(end, func() { tr.Finish(id) })
+		k.Run()
+		return tr
+	}
+	for _, end := range []int64{100, 60} {
+		live, ahead := run(false, end), run(true, end)
+		for st := Stage(0); st < NumStages; st++ {
+			if a, b := live.StageHist(st).Count(), ahead.StageHist(st).Count(); a != b {
+				t.Errorf("end %dns, %v: %d spans counted live, %d ahead", end, st, a, b)
+			}
+			if a, b := live.StageMeanUs(st), ahead.StageMeanUs(st); a != b {
+				t.Errorf("end %dns, %v: mean %v live, %v ahead", end, st, a, b)
+			}
+		}
+	}
+	if got := run(true, 60).StageHist(StageLenderIngress).Count(); got != 0 {
+		t.Errorf("a stamp past the span's end was aggregated (%d)", got)
+	}
+}
