@@ -23,8 +23,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -39,31 +41,41 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("chaos: ")
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the campaigns args select and writes their report to w. It
+// returns an error for a bad configuration or a failed audit; the
+// violations themselves go to the log.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	def := core.DefaultChaosFaults()
 	var (
-		seed       = flag.Uint64("seed", 1, "fault-schedule seed")
-		ber        = flag.Float64("ber", def.BER, "per-beat bit error rate (0 disables)")
-		drop       = flag.Float64("drop", def.DropProb, "per-beat drop probability (0 disables)")
-		flapUp     = flag.Float64("flap-up", def.FlapMeanUp.Micros(), "mean link up-phase (us)")
-		flapDown   = flag.Float64("flap-down", def.FlapMeanDown.Micros(), "mean link down-phase (us, 0 disables flapping)")
-		workloads  = flag.String("workloads", strings.Join(core.ChaosWorkloads, ","), "comma-separated workloads")
-		jobs       = flag.Int("j", 0, "concurrent chaos trials (0 = one per CPU); results are identical at any -j")
-		failover   = flag.Bool("failover", false, "also run the dead-link degraded-failover scenario")
-		schedule   = flag.Bool("schedule", false, "also run the scheduled lender-fault campaign (crash/wipe/burst/brownout) with the deadline+breaker stack")
-		poolChaos  = flag.Bool("pool", false, "also run the pool chaos campaign (N×M region churn + lender crash/restore)")
-		serveAddr  = flag.String("serve", "", "serve the live run monitor (/metrics, /healthz, /status) on this address while campaigns run")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the chaos trials to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile (taken after the trials) to this file")
-		mtxProfile = flag.String("mutexprofile", "", "write a mutex-contention profile of the trials to this file")
-		blkProfile = flag.String("blockprofile", "", "write a goroutine-blocking profile to this file")
+		seed       = fs.Uint64("seed", 1, "fault-schedule seed")
+		ber        = fs.Float64("ber", def.BER, "per-beat bit error rate (0 disables)")
+		drop       = fs.Float64("drop", def.DropProb, "per-beat drop probability (0 disables)")
+		flapUp     = fs.Float64("flap-up", def.FlapMeanUp.Micros(), "mean link up-phase (us)")
+		flapDown   = fs.Float64("flap-down", def.FlapMeanDown.Micros(), "mean link down-phase (us, 0 disables flapping)")
+		workloads  = fs.String("workloads", strings.Join(core.ChaosWorkloads, ","), "comma-separated workloads")
+		jobs       = fs.Int("j", 0, "concurrent chaos trials (0 = one per CPU); results are identical at any -j")
+		failover   = fs.Bool("failover", false, "also run the dead-link degraded-failover scenario")
+		schedule   = fs.Bool("schedule", false, "also run the scheduled lender-fault campaign (crash/wipe/burst/brownout) with the deadline+breaker stack")
+		poolChaos  = fs.Bool("pool", false, "also run the pool chaos campaign (N×M region churn + lender crash/restore)")
+		serveAddr  = fs.String("serve", "", "serve the live run monitor (/metrics, /healthz, /status) on this address while campaigns run")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the chaos trials to this file")
+		memProfile = fs.String("memprofile", "", "write an allocation profile (taken after the trials) to this file")
+		mtxProfile = fs.String("mutexprofile", "", "write a mutex-contention profile of the trials to this file")
+		blkProfile = fs.String("blockprofile", "", "write a goroutine-blocking profile to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	opts := core.Default()
 	opts.Seed = *seed
 	opts.Workers = *jobs
 	if err := opts.Validate(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *serveAddr != "" {
 		plane := metricsplane.New()
@@ -72,7 +84,7 @@ func main() {
 		opts.Metrics = plane
 		srv, err := monitor.Serve(*serveAddr, plane)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "metrics: serving /metrics /healthz /status on http://%s\n", srv.Addr())
@@ -87,19 +99,19 @@ func main() {
 
 	stopCPU, err := prof.Start(*cpuProfile)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stopMutex, err := prof.StartMutex(*mtxProfile)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stopBlock, err := prof.StartBlock(*blkProfile)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rep, err := opts.RunChaos(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var failoverResult *core.DegradedFailover
 	if *failover {
@@ -111,7 +123,7 @@ func main() {
 		scfg.Seed = *seed
 		scheduleResult, err = opts.RunChaosSchedule(scfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	var poolResult *core.PoolChaos
@@ -122,65 +134,65 @@ func main() {
 	}
 	stopCPU()
 	if err := stopMutex(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := stopBlock(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := prof.WriteHeap(*memProfile); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	if err := rep.Table.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := rep.Table.Render(w); err != nil {
+		return err
 	}
-	fmt.Println()
-	if err := rep.Counters.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(w)
+	if err := rep.Counters.Render(w); err != nil {
+		return err
 	}
 
 	if failoverResult != nil {
-		fmt.Println()
+		fmt.Fprintln(w)
 		r := failoverResult
-		fmt.Printf("degraded failover: completed=%t dead_declared=%t degraded=%t pages=%d local_accesses=%d poisoned=%d elapsed=%.4g us\n",
+		fmt.Fprintf(w, "degraded failover: completed=%t dead_declared=%t degraded=%t pages=%d local_accesses=%d poisoned=%d elapsed=%.4g us\n",
 			r.Completed, r.DeadDeclared, r.Degraded, r.DegradedPages, r.LocalAccesses, r.Poisoned, r.ElapsedUs)
 		if !r.Completed || !r.DeadDeclared || !r.Degraded {
-			log.Fatal("degraded failover did not complete cleanly")
+			return errors.New("degraded failover did not complete cleanly")
 		}
 	}
 
 	if scheduleResult != nil {
-		fmt.Println()
-		if err := scheduleResult.Events.Render(os.Stdout); err != nil {
-			log.Fatal(err)
+		fmt.Fprintln(w)
+		if err := scheduleResult.Events.Render(w); err != nil {
+			return err
 		}
-		fmt.Println()
-		if err := scheduleResult.Table.Render(os.Stdout); err != nil {
-			log.Fatal(err)
+		fmt.Fprintln(w)
+		if err := scheduleResult.Table.Render(w); err != nil {
+			return err
 		}
 		r := scheduleResult.Result
-		fmt.Printf("scheduled campaign: trips=%d reopens=%d closes=%d trip=%.4g us recovery=%.4g us final=%s\n",
+		fmt.Fprintf(w, "scheduled campaign: trips=%d reopens=%d closes=%d trip=%.4g us recovery=%.4g us final=%s\n",
 			r.Trips, r.Reopens, r.Closes, r.TripUs, r.RecoveryUs, r.FinalBreaker)
 		if !scheduleResult.OK() {
 			for _, v := range r.Violations {
 				log.Printf("schedule: VIOLATION: %s", v)
 			}
-			log.Fatal("scheduled campaign failed its audit")
+			return errors.New("scheduled campaign failed its audit")
 		}
 	}
 
 	if poolResult != nil {
-		fmt.Println()
+		fmt.Fprintln(w)
 		r := poolResult
-		fmt.Printf("pool chaos: seed=%d rounds=%d attaches=%d (rejected=%d) detaches=%d grows=%d crashes=%d restores=%d\n",
+		fmt.Fprintf(w, "pool chaos: seed=%d rounds=%d attaches=%d (rejected=%d) detaches=%d grows=%d crashes=%d restores=%d\n",
 			r.Seed, r.Rounds, r.Attaches, r.AttachRejected, r.Detaches, r.Grows, r.Crashes, r.Restores)
-		fmt.Printf("pool chaos: issued=%d completed=%d poisoned=%d expired=%d translation_faults=%d\n",
+		fmt.Fprintf(w, "pool chaos: issued=%d completed=%d poisoned=%d expired=%d translation_faults=%d\n",
 			r.Issued, r.Completed, r.Poisoned, r.Expired, r.TranslationFaults)
 		if !r.OK() {
 			for _, v := range r.Violations {
 				log.Printf("pool: VIOLATION: %s", v)
 			}
-			log.Fatal("pool chaos campaign failed its audit")
+			return errors.New("pool chaos campaign failed its audit")
 		}
 	}
 
@@ -190,7 +202,8 @@ func main() {
 				log.Printf("%s: VIOLATION: %s", r.Workload, v)
 			}
 		}
-		log.Fatal("invariant violations detected")
+		return errors.New("invariant violations detected")
 	}
-	fmt.Println("\nall workloads completed; all invariants held")
+	fmt.Fprintln(w, "\nall workloads completed; all invariants held")
+	return nil
 }

@@ -16,7 +16,9 @@ import (
 // heartbeats, breaker dwells), where a reordered event shifts counters.
 // validation and breakdown cover the link: a shifted wire time moves the
 // Fig. 2/3 latency and bandwidth, and a misplaced link-stage stamp moves
-// Table I's breakdown.
+// Table I's breakdown. recovery holds the NIC's injector shut through
+// link outages, the one experiment whose egress queues back up, so it
+// catches a change in how much the NIC buffers upstream of the injector.
 var fastGolden = map[string][]string{
 	"validation":   {"fig2_latency.csv", "fig3_bandwidth.csv", "fig3_bdp.csv"},
 	"breakdown":    {"table1_breakdown.csv"},
@@ -28,6 +30,7 @@ var fastGolden = map[string][]string{
 	"prefetch":     {"ablation_prefetch.csv"},
 	"chaos":        {"chaos_table.csv", "chaos_counters.csv"},
 	"schedule":     {"chaos_schedule_table.csv", "chaos_schedule_campaign.csv"},
+	"recovery":     {"fig_resilience_recovery.csv"},
 }
 
 // TestGoldenFastSubset regenerates the fast experiments in-process, with

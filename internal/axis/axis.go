@@ -7,11 +7,12 @@
 //
 // Rather than simulating every clock edge, this package models the
 // handshake event-wise: a FIFO is VALID while non-empty and READY while it
-// has space; Pumps move beats between FIFOs subject to a per-transfer cycle
-// time and an optional Gate that restricts the instants at which a transfer
-// may proceed. A Gate aligned to a PERIOD-cycle grid reproduces the
-// injector's behaviour exactly at the transfer level while remaining fast
-// enough to push hundreds of millions of simulated bytes.
+// has space; stages (Pump, Mux, PriorityMux) move beats between FIFOs at
+// most one per cycle, and the PriorityMux behind the injector asks a Gate
+// for the instants at which a request may proceed. A Gate aligned to a
+// PERIOD-cycle grid reproduces the injector's behaviour exactly at the
+// transfer level while remaining fast enough to push hundreds of millions
+// of simulated bytes.
 package axis
 
 import (
@@ -203,9 +204,9 @@ func (f *FIFO) Pop() (Beat, bool) {
 	return Beat{Born: born, Pkt: pkt, Bytes: bytes, Dest: dest, Flow: flow, Last: last, Corrupt: corrupt}, true
 }
 
-// Gate restricts the instants at which a Pump may perform a transfer. Next
-// must be monotone, pure (no state change), and idempotent —
-// Next(Next(t)) == Next(t) — or pumps will re-arm forever chasing a
+// Gate restricts the instants at which a PriorityMux may release a
+// request. Next must be monotone, pure (no state change), and idempotent —
+// Next(Next(t)) == Next(t) — or the arbiter will re-arm forever chasing a
 // receding release instant; Commit records that a transfer happened at t.
 type Gate interface {
 	// Next returns the earliest instant >= now at which one transfer may
@@ -242,7 +243,8 @@ const (
 
 // Faulter is an optional Gate extension for link-fault injection. After the
 // timing handshake admits a transfer (Next returned now and the beat is
-// about to move), the pump asks the gate what the faulty link does to it.
+// about to move), the PriorityMux asks the gate what the faulty link does
+// to it.
 // Fault is called exactly once per transfer, immediately after Commit, so
 // implementations may consume randomness.
 type Faulter interface {

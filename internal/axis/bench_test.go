@@ -14,9 +14,9 @@ func BenchmarkPumpChain(b *testing.B) {
 	m1 := NewFIFO("m1", 64)
 	m2 := NewFIFO("m2", 64)
 	out := NewFIFO("out", b.N+1)
-	NewPump(k, a, m1, sim.Nanosecond, nil)
-	NewPump(k, m1, m2, sim.Nanosecond, nil)
-	NewPump(k, m2, out, sim.Nanosecond, nil)
+	NewPump(k, a, m1, sim.Nanosecond)
+	NewPump(k, m1, m2, sim.Nanosecond)
+	NewPump(k, m2, out, sim.Nanosecond)
 	fed := 0
 	var feed func()
 	feed = func() {

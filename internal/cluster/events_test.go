@@ -29,9 +29,11 @@ func runStream(t *testing.T, k *sim.Kernel, h *memport.Hierarchy, base uint64, d
 // makes. The counts repeat exactly run to run, so a change that puts a
 // hop back on the datapath (or fuses one away) shows up here as a
 // changed event count with unchanged fills; update the pins only for a
-// deliberate change of the event structure. A crossing costs one event
-// per beat on a NIC's egress and two (serialization end, arrival) on a
-// switch output port: 15 events per fill on the testbed, 21 on the pool.
+// deliberate change of the event structure. A packet costs two
+// arbitration events on a NIC's egress (the routing merge and the
+// injector-egress arbiter); a crossing costs one event per beat from a
+// NIC's egress and two (serialization end, arrival) from a switch output
+// port: 12 events per fill on the testbed, 18 on the pool.
 func TestEventsPerFillPinned(t *testing.T) {
 	t.Run("testbed", func(t *testing.T) {
 		tb := NewTestbed(DefaultConfig(1))
@@ -42,7 +44,7 @@ func TestEventsPerFillPinned(t *testing.T) {
 		if done != 1 {
 			t.Fatal("STREAM did not finish")
 		}
-		checkEventCount(t, tb.K.Processed(), h.Stats().LineFills, 11521, 768)
+		checkEventCount(t, tb.K.Processed(), h.Stats().LineFills, 9217, 768)
 	})
 	t.Run("pool4x2", func(t *testing.T) {
 		p := NewPool(poolConfig(4, 2))
@@ -65,7 +67,7 @@ func TestEventsPerFillPinned(t *testing.T) {
 		for _, h := range hs {
 			fills += h.Stats().LineFills
 		}
-		checkEventCount(t, p.K.Processed(), fills, 64516, 3072)
+		checkEventCount(t, p.K.Processed(), fills, 55300, 3072)
 	})
 }
 

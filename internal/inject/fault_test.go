@@ -168,21 +168,22 @@ func TestFaultGateValidation(t *testing.T) {
 	}
 }
 
-// Pump-level integration: a DropGate on a pump loses beats without
-// stalling the pipeline, and the drop counter matches what went missing.
-func TestPumpDropsWithFaultGate(t *testing.T) {
+// Injector-level integration: a DropGate on the injector arbiter loses
+// beats without stalling the pipeline, and the drop counter matches what
+// went missing.
+func TestPriorityMuxDropsWithFaultGate(t *testing.T) {
 	k := sim.NewKernel()
 	in := axis.NewFIFO("in", 64)
 	out := axis.NewFIFO("out", 64)
 	g := NewDropGate(nil, 0.3, sim.NewRand(17))
-	p := axis.NewPump(k, in, out, sim.Nanosecond, g)
+	p := axis.NewPriorityMux(k, []*axis.FIFO{in}, nil, out, sim.Nanosecond, g)
 	const n = 50
 	for i := 0; i < n; i++ {
 		in.Push(axis.Beat{Bytes: 46})
 	}
 	k.Run()
 	if in.Len() != 0 {
-		t.Fatalf("pump stalled with %d beats queued", in.Len())
+		t.Fatalf("injector stalled with %d beats queued", in.Len())
 	}
 	if got := out.Len() + int(p.Dropped()); got != n {
 		t.Fatalf("forwarded %d + dropped %d != %d", out.Len(), p.Dropped(), n)
@@ -192,13 +193,13 @@ func TestPumpDropsWithFaultGate(t *testing.T) {
 	}
 }
 
-// Pump-level integration: corrupted beats arrive marked.
-func TestPumpCorruptsWithFaultGate(t *testing.T) {
+// Injector-level integration: corrupted beats arrive marked.
+func TestPriorityMuxCorruptsWithFaultGate(t *testing.T) {
 	k := sim.NewKernel()
 	in := axis.NewFIFO("in", 64)
 	out := axis.NewFIFO("out", 64)
 	g := NewBitErrorGate(nil, 0.01, sim.NewRand(23))
-	p := axis.NewPump(k, in, out, sim.Nanosecond, g)
+	p := axis.NewPriorityMux(k, []*axis.FIFO{in}, nil, out, sim.Nanosecond, g)
 	const n = 50
 	for i := 0; i < n; i++ {
 		in.Push(axis.Beat{Bytes: 174})
@@ -218,6 +219,6 @@ func TestPumpCorruptsWithFaultGate(t *testing.T) {
 		}
 	}
 	if uint64(marked) != p.Corrupted() || marked == 0 {
-		t.Fatalf("marked %d, pump counted %d", marked, p.Corrupted())
+		t.Fatalf("marked %d, injector counted %d", marked, p.Corrupted())
 	}
 }

@@ -111,15 +111,16 @@ func TestPeriodGateSlotProperty(t *testing.T) {
 	}
 }
 
-// Integration: a pump gated by PERIOD drains a backlog at exactly one beat
-// per PERIOD cycles — the saturated-throughput behaviour behind Fig. 3.
-func TestPeriodGateThroughputThroughPump(t *testing.T) {
+// Integration: an injector arbiter gated by PERIOD drains a backlog at
+// exactly one beat per PERIOD cycles — the saturated-throughput behaviour
+// behind Fig. 3.
+func TestPeriodGateThroughputThroughPriorityMux(t *testing.T) {
 	const period = 10
 	k := sim.NewKernel()
 	in := axis.NewFIFO("in", 256)
 	out := axis.NewFIFO("out", 256)
 	g := NewPeriodGate(period, DefaultFPGACycle)
-	axis.NewPump(k, in, out, DefaultFPGACycle, g)
+	axis.NewPriorityMux(k, []*axis.FIFO{in}, nil, out, DefaultFPGACycle, g)
 	const n = 100
 	k.At(0, func() {
 		for i := 0; i < n; i++ {

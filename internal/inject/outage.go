@@ -19,8 +19,8 @@ type OutageGate struct {
 	readyAt sim.Time
 	// cursor indexes the first window that could still matter: windows
 	// before it have ended relative to every instant Next has seen.
-	// Queries are monotone (pump time never runs backwards), so scanning
-	// restarts there instead of at the head of the list.
+	// Queries are monotone (the injector's time never runs backwards),
+	// so scanning restarts there instead of at the head of the list.
 	cursor  int
 	blocked uint64
 }

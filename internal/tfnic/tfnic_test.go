@@ -368,3 +368,91 @@ func TestTrySendRoutesByWindowLender(t *testing.T) {
 		t.Fatalf("TranslationFaults = %d, want 1", n.Stats().TranslationFaults)
 	}
 }
+
+// TestTrySendBacklogWhileInjectorShut pins how many requests a borrower
+// NIC buffers while an outage holds its delay injector shut: TrySend
+// keeps succeeding until everything upstream of the injector is full —
+// the command queue, the routing stage and the request class queue,
+// 3×QueueDepth requests — and refuses from then on.
+func TestTrySendBacklogWhileInjectorShut(t *testing.T) {
+	cfg := DefaultConfig(0)
+	cfg.QueueDepth = 16
+	k := sim.NewKernel()
+	gate := inject.NewOutageGate([]inject.Window{{Start: 0, Duration: sim.Millisecond}}, cfg.FPGACycle)
+	b := New(k, cfg, gate, nil)
+	accepted, refused := 0, 0
+	for step := 0; step < 20; step++ {
+		k.At(sim.Time(step)*sim.Time(sim.Microsecond), func() {
+			for b.TrySend(ocapi.Packet{Op: ocapi.OpReadBlock, Tag: uint32(accepted), Addr: 0, Size: ocapi.CacheLineSize, Src: 0, Dst: 1}) {
+				accepted++
+			}
+			refused++
+		})
+	}
+	k.RunUntil(sim.Time(20 * sim.Microsecond))
+	if want := 3 * cfg.QueueDepth; accepted != want {
+		t.Fatalf("accepted %d requests behind the shut injector, want %d", accepted, want)
+	}
+	if refused != 20 || b.InjectorTransfers() != 0 || b.TxQ.Pushed() != 0 {
+		t.Fatalf("refused=%d injector transfers=%d tx=%d", refused, b.InjectorTransfers(), b.TxQ.Pushed())
+	}
+}
+
+// TestNICBorrowsAndLends runs two NICs that borrow from each other, one
+// behind a slow delay injector. Its egress carries its own requests and
+// its responses to the peer through the one arbiter: the requests leave
+// one per injector slot, while the responses take the bypass and keep
+// the peer's fills fast.
+func TestNICBorrowsAndLends(t *testing.T) {
+	k := sim.NewKernel()
+	mem := func() *dram.DRAM {
+		return dram.New(k, dram.Config{Channels: 2, AccessLatency: 50 * sim.Nanosecond, BandwidthBps: 20e9, QueueDepth: 16})
+	}
+	slow := New(k, DefaultConfig(0), inject.NewPeriodGate(100, inject.DefaultFPGACycle), mem())
+	fast := New(k, DefaultConfig(1), nil, mem())
+	for _, pair := range [][2]*axis.FIFO{{slow.TxQ, fast.RxQ}, {fast.TxQ, slow.RxQ}} {
+		tx, rx := pair[0], pair[1]
+		move := func() {
+			for tx.Len() > 0 && rx.Space() > 0 {
+				b, _ := tx.Pop()
+				rx.Push(b)
+			}
+		}
+		tx.OnData(move)
+		rx.OnSpace(move)
+	}
+	const n = 20
+	var slowDone, fastDone sim.Time
+	delivered := [2]int{}
+	slow.OnDeliver = func(ocapi.Packet) { delivered[0]++; slowDone = k.Now() }
+	fast.OnDeliver = func(ocapi.Packet) { delivered[1]++; fastDone = k.Now() }
+	k.At(0, func() {
+		for i := 0; i < n; i++ {
+			req := ocapi.Packet{Op: ocapi.OpReadBlock, Tag: uint32(i), Addr: uint64(i) * 128, Size: ocapi.CacheLineSize}
+			req.Src, req.Dst = 0, 1
+			if !slow.TrySend(req) {
+				t.Fatal("slow NIC refused a request")
+			}
+			req.Src, req.Dst = 1, 0
+			if !fast.TrySend(req) {
+				t.Fatal("fast NIC refused a request")
+			}
+		}
+	})
+	k.Run()
+	if delivered != [2]int{n, n} {
+		t.Fatalf("delivered %v, want %d each", delivered, n)
+	}
+	if slow.InjectorTransfers() != n || slow.Stats().ResponsesSent != n || slow.TxQ.Pushed() != 2*n {
+		t.Fatalf("slow NIC: injector %d, responses %d, tx %d", slow.InjectorTransfers(), slow.Stats().ResponsesSent, slow.TxQ.Pushed())
+	}
+	// The slow NIC's requests are paced at one per 400 ns slot; the
+	// responses it sends back do not wait for those slots, so the fast
+	// NIC finishes all its fills before the slow one's second slot.
+	if floor := sim.Time((n - 1) * 400 * int(sim.Nanosecond)); slowDone < floor {
+		t.Fatalf("slow NIC's fills done at %v, under the injector floor %v", slowDone, floor)
+	}
+	if fastDone >= sim.Time(400*sim.Nanosecond) {
+		t.Fatalf("fast NIC's fills done at %v: responses waited for the peer's injector slot", fastDone)
+	}
+}
