@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test examples bench-test fuzz-smoke race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden trace-smoke metrics-smoke cover-pool clean
+.PHONY: all build test examples bench-test fuzz-smoke race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden trace-smoke metrics-smoke cover-pool deadcode clean
 
 all: vet fmt-check build test
 
@@ -75,6 +75,13 @@ cover-pool:
 		ok=$$(awk -v p="$$pct" 'BEGIN {print (p >= 80.0) ? 1 : 0}'); \
 		if [ "$$ok" != 1 ]; then echo "$$pkg below the 80% floor"; exit 1; fi; \
 	done
+
+# Dead-code ratchet: type-check every non-test package (stdlib go/types),
+# walk references from every main package, bench/ and examples/, and fail
+# on an unreachable declaration missing from testdata/deadcode_allow.txt or
+# on a stale entry there. Behind a build tag so `go test ./...` skips it.
+deadcode:
+	$(GO) test -tags deadcode -run '^TestDeadCode$$' -count=1 .
 
 # Race-check the pool-heavy packages: pooled transactions and free-listed
 # continuations must stay data-race-free under concurrent sweep workers.

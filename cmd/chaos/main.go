@@ -130,7 +130,10 @@ func run(w io.Writer, args []string) error {
 	if *poolChaos {
 		pcfg := core.DefaultPoolChaosConfig()
 		pcfg.Seed = *seed
-		poolResult = opts.RunPoolChaos(pcfg)
+		poolResult, err = opts.RunPoolChaos(pcfg)
+		if err != nil {
+			return err
+		}
 	}
 	stopCPU()
 	if err := stopMutex(); err != nil {

@@ -3,75 +3,9 @@ package thymesim
 import (
 	"testing"
 
-	"thymesim/internal/cluster"
 	"thymesim/internal/core"
-	"thymesim/internal/inject"
-	"thymesim/internal/memport"
-	"thymesim/internal/ocapi"
 	"thymesim/internal/sim"
 )
-
-// flatTrace is one phase of n independent line reads.
-type flatTrace struct {
-	base uint64
-	n    int
-	buf  []memport.Op
-}
-
-func (f *flatTrace) NumPhases() int { return 1 }
-func (f *flatTrace) Phase(int) []memport.Op {
-	f.buf = f.buf[:0]
-	for i := 0; i < f.n; i++ {
-		f.buf = append(f.buf, memport.Op{Addr: f.base + uint64(i)*ocapi.CacheLineSize, Size: 8})
-	}
-	return f.buf
-}
-func (f *flatTrace) ComputeTime(int) sim.Duration { return 0 }
-
-// eventSaturated drives n independent line reads through the full event
-// datapath with an MSHR-sized issue window (as a real CPU would) and
-// returns achieved bandwidth and mean fill latency.
-func eventSaturated(period int64, n int) (bps float64, latUs float64) {
-	cfg := cluster.DefaultConfig(period)
-	cfg.LLC.SizeBytes = 64 << 10
-	cfg.LLC.Ways = 4
-	tb := cluster.NewTestbed(cfg)
-	h := tb.NewRemoteHierarchy()
-	tb.K.At(0, func() {
-		memport.Replay(tb.K, h, &flatTrace{base: cluster.RemoteBase, n: n}, memport.DefaultMSHRs, func(sim.Duration) {})
-	})
-	end := tb.K.Run()
-	return float64(n*ocapi.CacheLineSize) / sim.Time(end).Seconds(), h.FillLatency().Mean()
-}
-
-// fastSaturated drives the same pattern through the analytic FastPort.
-func fastSaturated(tb *cluster.Testbed, period int64, n int) (bps float64, latUs float64) {
-	slot := sim.Duration(period) * inject.DefaultFPGACycle
-	p := memport.NewFastPort(tb.BaseRTT(), slot, memport.DefaultMSHRs)
-	for i := 0; i < n; i++ {
-		p.Access(0)
-	}
-	return p.BandwidthBps(), p.MeanLatency().Micros()
-}
-
-// TestFastPortTracksEventModel is the cross-validation DESIGN.md promises:
-// with identical parameters and access streams, the O(1) analytic model
-// must agree with the event-level datapath on bandwidth and latency within
-// tolerance, across injection regimes.
-func TestFastPortTracksEventModel(t *testing.T) {
-	tb := cluster.NewTestbed(cluster.DefaultConfig(1))
-	const n = 3000
-	for _, period := range []int64{10, 50, 200, 1000} {
-		eBps, eLat := eventSaturated(period, n)
-		fBps, fLat := fastSaturated(tb, period, n)
-		if r := fBps / eBps; r < 0.8 || r > 1.25 {
-			t.Errorf("PERIOD=%d bandwidth: fast %.3g vs event %.3g (ratio %.3f)", period, fBps, eBps, r)
-		}
-		if r := fLat / eLat; r < 0.7 || r > 1.4 {
-			t.Errorf("PERIOD=%d latency: fast %.3g vs event %.3g us (ratio %.3f)", period, fLat, eLat, r)
-		}
-	}
-}
 
 // TestDeterminism: identical options and seeds produce identical results
 // across full experiment runs — the property every other regression test

@@ -10,11 +10,7 @@
 // 16.5 kB on the POWER9 testbed.
 package cache
 
-import (
-	"fmt"
-
-	"thymesim/internal/ocapi"
-)
+import "fmt"
 
 // Config describes an LLC.
 type Config struct {
@@ -41,12 +37,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
 	return nil
-}
-
-// AC922LLC approximates the testbed's 120 MiB of last-level cache per node
-// (paper §IV-A): 128 MiB modelled (nearest power-of-two geometry), 16-way.
-func AC922LLC() Config {
-	return Config{SizeBytes: 128 << 20, Ways: 16, LineSize: ocapi.CacheLineSize}
 }
 
 type line struct {

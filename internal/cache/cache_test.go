@@ -26,9 +26,6 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d accepted: %+v", i, c)
 		}
 	}
-	if err := AC922LLC().Validate(); err != nil {
-		t.Errorf("AC922LLC invalid: %v", err)
-	}
 }
 
 func TestHitAfterMiss(t *testing.T) {

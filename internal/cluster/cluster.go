@@ -246,12 +246,6 @@ func (tb *Testbed) EnableTracing(cfg obs.Config) *obs.Tracer {
 // Tracer returns the span tracer, or nil when tracing is disabled.
 func (tb *Testbed) Tracer() *obs.Tracer { return tb.pool.Tracer() }
 
-// EnableMetrics attaches the metrics plane to the testbed's wired
-// components (equivalent to setting Config.Metrics before construction,
-// for callers that build the plane late); it counts from this call on.
-// Call it before creating hierarchies so their caches are counted.
-func (tb *Testbed) EnableMetrics(pl *metricsplane.Plane) { tb.pool.EnableMetrics(pl) }
-
 // Metrics returns the attached metrics plane, or nil when disabled.
 func (tb *Testbed) Metrics() *metricsplane.Plane { return tb.pool.Metrics() }
 
@@ -341,21 +335,4 @@ func (tb *Testbed) RemoteAddr(offset uint64) uint64 {
 		panic(fmt.Sprintf("cluster: offset %#x beyond window %#x", offset, tb.cfg.WindowSize))
 	}
 	return RemoteBase + offset
-}
-
-// BaseRTT estimates the uncontended line-fill round trip from the
-// configuration — used to parameterize FastPort so that fast-mode sweeps
-// share the event-mode timing. The estimate mirrors the stage costs of the
-// event datapath at PERIOD=1.
-func (tb *Testbed) BaseRTT() sim.Duration {
-	cfg := tb.cfg
-	cyc := cfg.FPGACycle
-	reqWire := sim.Duration(float64(ocapi.HeaderBytes+ocapi.CmdBytes) / cfg.LinkBandwidthBps * 1e12)
-	respWire := sim.Duration(float64(ocapi.HeaderBytes+ocapi.CmdBytes+ocapi.CacheLineSize) / cfg.LinkBandwidthBps * 1e12)
-	dramChan := cfg.LenderDRAM.BandwidthBps / float64(cfg.LenderDRAM.Channels)
-	dramBurst := sim.Duration(float64(ocapi.CacheLineSize) / dramChan * 1e12)
-	// Per direction: port latency, ~4 pipeline pumps, NIC pipeline, wire,
-	// propagation; plus the lender memory access in the middle.
-	oneWay := cfg.PortLatency + 4*cyc + cfg.NICPipeline + cfg.LinkPropagation
-	return 2*oneWay + reqWire + respWire + cfg.LenderDRAM.AccessLatency + dramBurst
 }

@@ -34,19 +34,9 @@ type AttachConfig struct {
 	// completed, the FPGA is declared "not detected" and the attach fails
 	// — the Fig. 4 failure mode at PERIOD=10000.
 	Timeout sim.Duration
-	// Retry is the pause before re-attempting a transaction the NIC
-	// couldn't accept.
+	// Retry is the fixed pause before re-attempting a transaction the NIC
+	// couldn't accept, as in the prototype.
 	Retry sim.Duration
-	// RetryMult grows the pause across consecutive rejections (exponential
-	// backoff); 0 or 1 keeps the pause fixed, reproducing the prototype's
-	// behaviour. The pause resets to Retry after any accepted transaction.
-	RetryMult float64
-	// RetryCap bounds the grown pause (0 = uncapped).
-	RetryCap sim.Duration
-	// RetryJitter spreads each pause uniformly over [1-j, 1+j]; 0 disables
-	// jitter. Jitter draws come from RetrySeed for reproducibility.
-	RetryJitter float64
-	RetrySeed   uint64
 }
 
 // DefaultAttachConfig mirrors the prototype's observed behaviour: the
@@ -71,55 +61,8 @@ func (c AttachConfig) Validate() error {
 	if c.Retry <= 0 {
 		return fmt.Errorf("control: Retry = %v", c.Retry)
 	}
-	if c.RetryMult != 0 && c.RetryMult < 1 {
-		return fmt.Errorf("control: RetryMult = %g < 1", c.RetryMult)
-	}
-	if c.RetryCap < 0 {
-		return fmt.Errorf("control: negative RetryCap")
-	}
-	if c.RetryJitter < 0 || c.RetryJitter >= 1 {
-		return fmt.Errorf("control: RetryJitter = %g outside [0,1)", c.RetryJitter)
-	}
 	return nil
 }
-
-// retryPacer produces the sequence of backoff pauses an AttachConfig
-// describes: fixed at Retry by default, exponential with optional cap and
-// jitter when RetryMult > 1.
-type retryPacer struct {
-	cfg  AttachConfig
-	rng  *sim.Rand
-	next float64
-}
-
-func newRetryPacer(cfg AttachConfig) *retryPacer {
-	p := &retryPacer{cfg: cfg, next: float64(cfg.Retry)}
-	if cfg.RetryJitter > 0 {
-		p.rng = sim.NewRand(cfg.RetrySeed)
-	}
-	return p
-}
-
-// pause returns the next pause and advances the backoff.
-func (p *retryPacer) pause() sim.Duration {
-	d := p.next
-	if m := p.cfg.RetryMult; m > 1 {
-		p.next *= m
-		if cap := float64(p.cfg.RetryCap); cap > 0 && p.next > cap {
-			p.next = cap
-		}
-	}
-	if p.rng != nil {
-		d *= 1 + p.cfg.RetryJitter*(2*p.rng.Float64()-1)
-	}
-	if d < 1 {
-		d = 1
-	}
-	return sim.Duration(d)
-}
-
-// reset returns the backoff to its base pause (after a successful send).
-func (p *retryPacer) reset() { p.next = float64(p.cfg.Retry) }
 
 // AttachResult reports the outcome of a hot-plug attempt.
 type AttachResult struct {
@@ -157,7 +100,6 @@ func Attach(p Prober, cfg AttachConfig, done func(AttachResult)) {
 		finish(false, fmt.Sprintf("FPGA not detected: %d/%d config ops within %v",
 			res.OpsDone, cfg.ConfigOps, cfg.Timeout))
 	})
-	pacer := newRetryPacer(cfg)
 	var step func()
 	step = func() {
 		if finished {
@@ -175,10 +117,8 @@ func Attach(p Prober, cfg AttachConfig, done func(AttachResult)) {
 			step()
 		})
 		if !ok {
-			k.After(pacer.pause(), step)
-			return
+			k.After(cfg.Retry, step)
 		}
-		pacer.reset()
 	}
 	step()
 }

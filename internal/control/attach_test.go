@@ -9,12 +9,14 @@ import (
 
 // fakeProber answers probes after a fixed RTT.
 type fakeProber struct {
-	k    *sim.Kernel
-	rtt  sim.Duration
-	fail int // first n sends rejected
+	k     *sim.Kernel
+	rtt   sim.Duration
+	fail  int        // first n sends rejected
+	sends []sim.Time // when each send was attempted
 }
 
 func (f *fakeProber) SendProbe(done func(sim.Duration)) bool {
+	f.sends = append(f.sends, f.k.Now())
 	if f.fail > 0 {
 		f.fail--
 		return false

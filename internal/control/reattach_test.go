@@ -164,53 +164,23 @@ func TestSupervisorConfigValidation(t *testing.T) {
 	}
 }
 
-func TestAttachBackoffGrowsAndResets(t *testing.T) {
-	pacer := newRetryPacer(AttachConfig{
-		ConfigOps: 1, Timeout: 1, Retry: 10,
-		RetryMult: 2, RetryCap: 50,
-	})
-	var got []sim.Duration
-	for i := 0; i < 5; i++ {
-		got = append(got, pacer.pause())
-	}
-	want := []sim.Duration{10, 20, 40, 50, 50}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pause %d = %v, want %v (all %v)", i, got[i], want[i], got)
-		}
-	}
-	pacer.reset()
-	if p := pacer.pause(); p != 10 {
-		t.Fatalf("pause after reset = %v", p)
-	}
-}
-
-func TestAttachBackoffJitterDeterministic(t *testing.T) {
-	mk := func() *retryPacer {
-		return newRetryPacer(AttachConfig{
-			ConfigOps: 1, Timeout: 1, Retry: 1000,
-			RetryMult: 2, RetryJitter: 0.2, RetrySeed: 7,
-		})
-	}
-	a, b := mk(), mk()
-	for i := 0; i < 10; i++ {
-		pa, pb := a.pause(), b.pause()
-		if pa != pb {
-			t.Fatalf("pause %d nondeterministic: %v vs %v", i, pa, pb)
-		}
-		if pa < 800 {
-			t.Fatalf("pause %d = %v below jitter floor", i, pa)
-		}
-	}
-}
-
+// TestAttachFixedPauseDefaultUnchanged: under the default config a refused
+// config transaction is retried exactly Retry later, every time, so the
+// Fig. 4 attach numbers keep the prototype's fixed pause.
 func TestAttachFixedPauseDefaultUnchanged(t *testing.T) {
-	// The default config must reproduce the prototype's fixed pause so the
-	// Fig. 4 attach numbers are untouched.
-	pacer := newRetryPacer(DefaultAttachConfig())
-	for i := 0; i < 5; i++ {
-		if p := pacer.pause(); p != DefaultAttachConfig().Retry {
-			t.Fatalf("default pause %d = %v", i, p)
+	k := sim.NewKernel()
+	const refused = 5
+	p := &fakeProber{k: k, rtt: sim.Duration(sim.Microsecond), fail: refused}
+	cfg := DefaultAttachConfig()
+	var res AttachResult
+	k.At(0, func() { Attach(p, cfg, func(r AttachResult) { res = r }) })
+	k.Run()
+	if !res.OK || res.OpsDone != cfg.ConfigOps {
+		t.Fatalf("attach failed: %+v", res)
+	}
+	for i := 1; i <= refused; i++ {
+		if gap := p.sends[i].Sub(p.sends[i-1]); gap != cfg.Retry {
+			t.Fatalf("retry %d landed %v after the refusal, want %v", i, gap, cfg.Retry)
 		}
 	}
 }

@@ -110,7 +110,10 @@ func BenchmarkPoolChaos64(b *testing.B) {
 	cfg := poolChaos64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := o.RunPoolChaos(cfg)
+		r, err := o.RunPoolChaos(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !r.OK() {
 			b.Fatal(r.Violations)
 		}
@@ -156,7 +159,11 @@ func TestBenchmarkAllocBounds(t *testing.T) {
 	}{
 		{"StreamRemotePoint", 1144, func() { o.StreamRemote(50) }},
 		{"PoolChaos64", 40272, func() {
-			if r := o.RunPoolChaos(poolChaos64); !r.OK() {
+			r, err := o.RunPoolChaos(poolChaos64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.OK() {
 				t.Fatal(r.Violations)
 			}
 		}},

@@ -95,6 +95,25 @@ func TestPoolContentionDeterminism(t *testing.T) {
 	}
 }
 
+// TestPoolChaosConfigErrors: an invalid campaign config comes back as an
+// error and a nil result, before any pool is built.
+func TestPoolChaosConfigErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*PoolChaosConfig)
+	}{
+		{"zero borrowers", func(c *PoolChaosConfig) { c.Borrowers = 0 }},
+		{"zero lenders", func(c *PoolChaosConfig) { c.Lenders = 0 }},
+		{"zero rounds", func(c *PoolChaosConfig) { c.Rounds = 0 }},
+	} {
+		cfg := DefaultPoolChaosConfig()
+		tc.mut(&cfg)
+		if r, err := fastOptions().RunPoolChaos(cfg); err == nil || r != nil {
+			t.Errorf("%s: RunPoolChaos = (%v, %v), want an error", tc.name, r, err)
+		}
+	}
+}
+
 // TestPoolChaosAuditHolds runs the pool chaos campaign across seeds and
 // checks determinism (same seed, same counters) plus the invariant audit.
 func TestPoolChaosAuditHolds(t *testing.T) {
@@ -102,7 +121,11 @@ func TestPoolChaosAuditHolds(t *testing.T) {
 		o := fastOptions()
 		cfg := DefaultPoolChaosConfig()
 		cfg.Seed = seed
-		return o.RunPoolChaos(cfg)
+		r, err := o.RunPoolChaos(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		r := run(seed)

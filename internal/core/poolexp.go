@@ -175,10 +175,11 @@ func (r *PoolChaos) OK() bool { return len(r.Violations) == 0 }
 // re-arms them). The deadline+ARQ stack keeps every transaction resolving;
 // afterwards the audit checks the invariants that churn must never bend:
 // exactly-once port accounting, ARQ conservation, allocator conservation
-// against the live region set, full completion, and a clean fabric.
-func (o Options) RunPoolChaos(cfg PoolChaosConfig) *PoolChaos {
+// against the live region set, full completion, and a clean fabric. An
+// invalid cfg is returned as an error before anything runs.
+func (o Options) RunPoolChaos(cfg PoolChaosConfig) (*PoolChaos, error) {
 	if err := cfg.Validate(); err != nil {
-		panic(err)
+		return nil, err
 	}
 	arq := tfnic.DefaultARQConfig()
 	base := o.TestbedConfig(1)
@@ -323,5 +324,5 @@ func (o Options) RunPoolChaos(cfg PoolChaosConfig) *PoolChaos {
 	if len(res.Violations) > 0 {
 		o.Metrics.DumpOnAuditFailure("pool-chaos", res.Violations)
 	}
-	return res
+	return res, nil
 }

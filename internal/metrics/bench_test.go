@@ -25,12 +25,3 @@ func BenchmarkHistogramQuantile(b *testing.B) {
 	}
 	_ = sink
 }
-
-// BenchmarkSummaryObserve measures the online-moment accumulator.
-func BenchmarkSummaryObserve(b *testing.B) {
-	var s Summary
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Observe(float64(i))
-	}
-}

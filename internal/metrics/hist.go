@@ -1,12 +1,11 @@
 // Package metrics provides the measurement primitives used across the
-// simulator: log-bucketed latency histograms, online summaries, labelled
-// series, and text/CSV rendering for the experiment harness.
+// simulator: log-bucketed latency histograms, labelled series, and
+// text/CSV rendering for the experiment harness.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Histogram is a log-bucketed histogram of non-negative float64 samples
@@ -153,115 +152,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Percentile is Quantile with p in [0,100].
-func (h *Histogram) Percentile(p float64) float64 { return h.Quantile(p / 100) }
-
-// Merge adds all samples of other into h. The histograms must share bucket
-// geometry.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.growth != h.growth || other.first != h.first {
-		panic("metrics: merging histograms with different geometry")
-	}
-	if other.total == 0 {
-		return
-	}
-	if !h.hasData || other.min < h.min {
-		h.min = other.min
-	}
-	if !h.hasData || other.max > h.max {
-		h.max = other.max
-	}
-	h.hasData = true
-	h.total += other.total
-	h.sum += other.sum
-	h.zero += other.zero
-	for len(h.counts) < len(other.counts) {
-		h.counts = append(h.counts, 0)
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-}
-
-// Reset discards all samples, keeping the bucket geometry.
-func (h *Histogram) Reset() {
-	h.counts = h.counts[:0]
-	h.zero, h.total = 0, 0
-	h.sum, h.min, h.max = 0, 0, 0
-	h.hasData = false
-}
-
 // String summarizes the distribution.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g p50=%.4g p99=%.4g max=%.4g",
 		h.total, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
-}
-
-// Summary accumulates count/mean/variance/min/max online (Welford) without
-// retaining samples.
-type Summary struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
-}
-
-// Observe records one sample.
-func (s *Summary) Observe(v float64) {
-	if math.IsNaN(v) {
-		panic("metrics: NaN sample")
-	}
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n++
-	d := v - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (v - s.mean)
-}
-
-// Count returns the number of samples.
-func (s *Summary) Count() uint64 { return s.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Sum returns n*mean.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
-// Variance returns the unbiased sample variance, or 0 with <2 samples.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (s *Summary) Max() float64 { return s.max }
-
-// ExactQuantile computes the q-quantile of a sample slice by sorting a copy
-// (nearest-rank). It is a test/verification helper, not a hot path.
-func ExactQuantile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), samples...)
-	sort.Float64s(cp)
-	rank := int(math.Ceil(q*float64(len(cp)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(cp) {
-		rank = len(cp) - 1
-	}
-	return cp[rank]
 }

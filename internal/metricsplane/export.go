@@ -2,12 +2,9 @@ package metricsplane
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
-	"strconv"
 )
 
 // ndjsonSample is the wire form of one series line in NDJSON export.
@@ -104,43 +101,4 @@ func histQuantile(h *HistSnapshot, q float64) float64 {
 		cum += c
 	}
 	return 0
-}
-
-// WriteCSV renders the snapshot through the repo's CSV convention: a
-// header row then one row per series with the label schema flattened
-// into fixed columns. Histograms export count/sum/p50/p99 columns.
-func WriteCSV(w io.Writer, samples []Sample) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"metric", "type", "node", "lender", "link", "tenant", "stage", "value", "count", "sum", "p50", "p99"}); err != nil {
-		return err
-	}
-	for i := range samples {
-		s := &samples[i]
-		row := []string{
-			s.Name, s.Kind.String(),
-			labelCol(s.Labels.Node), labelCol(s.Labels.Lender), labelCol(s.Labels.Link),
-			s.Labels.Tenant, s.Labels.Stage,
-			"", "", "", "", "",
-		}
-		if s.Hist != nil {
-			row[8] = strconv.FormatUint(s.Hist.Count, 10)
-			row[9] = formatValue(s.Hist.Sum)
-			row[10] = formatValue(histQuantile(s.Hist, 0.50))
-			row[11] = formatValue(histQuantile(s.Hist, 0.99))
-		} else {
-			row[7] = formatValue(s.Value)
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func labelCol(v int) string {
-	if v == Unset {
-		return ""
-	}
-	return fmt.Sprint(v)
 }

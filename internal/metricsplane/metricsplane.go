@@ -1,8 +1,8 @@
 // Package metricsplane is the rack-scale labeled metrics plane: a
 // registry of counters, gauges, and log-bucketed latency histograms keyed
 // by the {node, lender, link, tenant, stage} label schema, with
-// Prometheus text exposition, streaming NDJSON, CSV export, an SLO
-// tracker, and a bounded flight recorder of recent datapath events.
+// Prometheus text exposition, streaming NDJSON, an SLO tracker, and a
+// bounded flight recorder of recent datapath events.
 //
 // Design constraints, in priority order (the same contract as the span
 // tracer in internal/obs):

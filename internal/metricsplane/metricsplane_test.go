@@ -186,25 +186,6 @@ func TestNDJSONExport(t *testing.T) {
 	}
 }
 
-func TestCSVExport(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("thymesim_fills_total", "f", NewLabels().WithNode(1)).Add(3)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d CSV lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "metric,type,node,") {
-		t.Fatalf("header %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "thymesim_fills_total,counter,1,") {
-		t.Fatalf("row %q", lines[1])
-	}
-}
-
 func TestFlightRecorderWrap(t *testing.T) {
 	fr := NewFlightRecorder(4)
 	for i := 0; i < 10; i++ {

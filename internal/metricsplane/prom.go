@@ -146,6 +146,9 @@ func (p *ParsedExposition) Value(name string, labels map[string]string) (float64
 //   - every series' family has a preceding # TYPE line;
 //   - histogram _bucket series are cumulative (non-decreasing in le,
 //     ending at +Inf with a value equal to _count).
+//
+// Only tests call it; it stays in a non-test file because tests in
+// cmd/characterize and metricsplane/monitor import it.
 func ParseExposition(body string) (*ParsedExposition, error) {
 	out := &ParsedExposition{Types: make(map[string]string)}
 	type histState struct {

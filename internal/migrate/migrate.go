@@ -103,15 +103,9 @@ type Migrator struct {
 	nextFrame uint64
 	resident  int
 	degraded  bool
-	// deadRanges holds page-aligned address ranges whose remote backing
-	// died (one lender of a pool), while the rest stays healthy.
-	deadRanges []addrRange
-	gate       Gate
-	stats      Stats
+	gate      Gate
+	stats     Stats
 }
-
-// addrRange is a half-open [base, end) address range.
-type addrRange struct{ base, end uint64 }
 
 // Gate is consulted before each remote access (the circuit breaker's
 // Allow satisfies it). A refusal localizes the page — the access is served
@@ -155,33 +149,6 @@ func (m *Migrator) SetRemoteGate(g Gate) { m.gate = g }
 // by degrading instead of hanging. Frame allocation ignores MaxPages here:
 // refusing a frame would turn a dead link back into a hang.
 func (m *Migrator) Degrade() { m.degraded = true }
-
-// DegradeRange abandons the remote backing for [base, base+size) only —
-// the blast radius of one dead lender in a multi-lender pool, where
-// Degrade's all-or-nothing surrender would needlessly localize regions
-// served by healthy lenders. The range is widened to page boundaries
-// (localization is per page); pages outside every degraded range keep
-// their remote path. Semantics within the range match Degrade: promoted
-// pages keep their frames, everything else gets a fresh zero-filled frame
-// on its next touch, ignoring MaxPages.
-func (m *Migrator) DegradeRange(base, size uint64) {
-	start := m.pageOf(base)
-	end := base + size
-	if r := end & uint64(m.cfg.PageBytes-1); r != 0 {
-		end += uint64(m.cfg.PageBytes) - r
-	}
-	m.deadRanges = append(m.deadRanges, addrRange{base: start, end: end})
-}
-
-// rangeDegraded reports whether addr falls in a degraded range.
-func (m *Migrator) rangeDegraded(addr uint64) bool {
-	for _, r := range m.deadRanges {
-		if addr >= r.base && addr < r.end {
-			return true
-		}
-	}
-	return false
-}
 
 // localize gives a page a resident frame without any copy traffic.
 func (m *Migrator) localize(st *pageState) {
@@ -229,7 +196,7 @@ func (m *Migrator) WriteLine(addr uint64, h sim.Handler, arg uint64) {
 func (m *Migrator) route(addr uint64) (uint64, bool) {
 	st := m.state(addr)
 	if !st.local {
-		if m.degraded || m.rangeDegraded(addr) {
+		if m.degraded {
 			m.localize(st)
 			m.stats.DegradedPages++
 		} else if m.gate != nil && !m.gate.Allow() {

@@ -309,54 +309,3 @@ func TestDegradeMidMigrationDoesNotDoubleAssign(t *testing.T) {
 	}
 	_ = remote
 }
-
-// TestDegradeRangeLocalizesOnlyThatRange is the regression test for the
-// pool-era fault model: when one lender of several dies, only its region
-// must localize — accesses to regions on healthy lenders keep going
-// remote. The all-or-nothing Degrade used to be the only option.
-func TestDegradeRangeLocalizesOnlyThatRange(t *testing.T) {
-	k, m, remote, local := setup()
-	const pageA = uint64(0x10000) // dies
-	const pageB = uint64(0x20000) // stays healthy
-	m.DegradeRange(pageA, 1024)
-	k.At(0, func() {
-		readLine(m, pageA, nil)
-		readLine(m, pageA+ocapi.CacheLineSize, nil)
-		readLine(m, pageB, nil)
-	})
-	k.Run()
-	if remote.reads != 1 {
-		t.Fatalf("remote reads = %d, want 1 (only the healthy page)", remote.reads)
-	}
-	if remote.addrs[0] != pageB {
-		t.Fatalf("remote access at %#x, want %#x", remote.addrs[0], pageB)
-	}
-	if local.reads != 2 {
-		t.Fatalf("local reads = %d, want 2 (the dead page's lines)", local.reads)
-	}
-	if m.Stats().DegradedPages != 1 {
-		t.Fatalf("degraded pages = %d, want 1", m.Stats().DegradedPages)
-	}
-	if m.Degraded() {
-		t.Fatal("range degrade must not flip the global degraded state")
-	}
-}
-
-// TestDegradeRangeWidensToPages pins the page-boundary widening: a range
-// that straddles a page edge localizes both touched pages, including an
-// unaligned tail.
-func TestDegradeRangeWidensToPages(t *testing.T) {
-	k, m, remote, local := setup()
-	// 1024-byte pages: the range covers the last line of page 0x10000 and
-	// one byte of page 0x10400.
-	m.DegradeRange(0x10000+1024-ocapi.CacheLineSize, ocapi.CacheLineSize+1)
-	k.At(0, func() {
-		readLine(m, 0x10000, nil) // head of first touched page: localized
-		readLine(m, 0x10400, nil) // second touched page: localized
-		readLine(m, 0x10800, nil) // past the widened range: remote
-	})
-	k.Run()
-	if local.reads != 2 || remote.reads != 1 {
-		t.Fatalf("local=%d remote=%d, want 2/1", local.reads, remote.reads)
-	}
-}

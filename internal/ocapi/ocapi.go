@@ -7,8 +7,6 @@
 package ocapi
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"thymesim/internal/sim"
@@ -278,64 +276,6 @@ func (pp *PacketPool) Put(p *Packet) {
 // Live returns the packets handed out and not yet put back: those still
 // in flight plus any lost on the way and left to the GC.
 func (pp *PacketPool) Live() int { return pp.live }
-
-// encodedLen is the fixed marshalled header length (payload is size-only):
-// op, tag, addr, size, src, dst, issued, prio, seq, flags.
-const encodedLen = 1 + 4 + 8 + 4 + 2 + 2 + 8 + 1 + 2 + 1
-
-// Flag bits in the marshalled flags byte.
-const (
-	flagCorrupt = 1 << 0
-	flagPoison  = 1 << 1
-)
-
-// ErrShortBuffer reports a truncated encoding.
-var ErrShortBuffer = errors.New("ocapi: short buffer")
-
-// MarshalBinary encodes the packet header (big-endian, fixed layout).
-func (p *Packet) MarshalBinary() ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, encodedLen)
-	buf[0] = byte(p.Op)
-	binary.BigEndian.PutUint32(buf[1:], p.Tag)
-	binary.BigEndian.PutUint64(buf[5:], p.Addr)
-	binary.BigEndian.PutUint32(buf[13:], p.Size)
-	binary.BigEndian.PutUint16(buf[17:], p.Src)
-	binary.BigEndian.PutUint16(buf[19:], p.Dst)
-	binary.BigEndian.PutUint64(buf[21:], uint64(p.Issued))
-	buf[29] = p.Prio
-	binary.BigEndian.PutUint16(buf[30:], p.Seq)
-	var flags byte
-	if p.Corrupt {
-		flags |= flagCorrupt
-	}
-	if p.Poison {
-		flags |= flagPoison
-	}
-	buf[32] = flags
-	return buf, nil
-}
-
-// UnmarshalBinary decodes a packet header produced by MarshalBinary.
-func (p *Packet) UnmarshalBinary(buf []byte) error {
-	if len(buf) < encodedLen {
-		return ErrShortBuffer
-	}
-	p.Op = Op(buf[0])
-	p.Tag = binary.BigEndian.Uint32(buf[1:])
-	p.Addr = binary.BigEndian.Uint64(buf[5:])
-	p.Size = binary.BigEndian.Uint32(buf[13:])
-	p.Src = binary.BigEndian.Uint16(buf[17:])
-	p.Dst = binary.BigEndian.Uint16(buf[19:])
-	p.Issued = sim.Time(binary.BigEndian.Uint64(buf[21:]))
-	p.Prio = buf[29]
-	p.Seq = binary.BigEndian.Uint16(buf[30:])
-	p.Corrupt = buf[32]&flagCorrupt != 0
-	p.Poison = buf[32]&flagPoison != 0
-	return p.Validate()
-}
 
 // TagAllocator hands out transaction tags from a bounded space, mirroring
 // the AFU tag pool that bounds outstanding OpenCAPI commands. Tags index a

@@ -74,45 +74,6 @@ func TestPacketResponseOfResponsePanics(t *testing.T) {
 	resp.Response()
 }
 
-func TestPacketMarshalRoundTrip(t *testing.T) {
-	orig := Packet{Op: OpWriteBlock, Tag: 0xDEAD, Addr: 0xA000, Size: CacheLineSize, Src: 3, Dst: 9, Issued: 123456}
-	buf, err := orig.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Packet
-	if err := got.UnmarshalBinary(buf); err != nil {
-		t.Fatal(err)
-	}
-	if got != orig {
-		t.Fatalf("round trip: got %+v, want %+v", got, orig)
-	}
-	var short Packet
-	if err := short.UnmarshalBinary(buf[:5]); err != ErrShortBuffer {
-		t.Fatalf("short buffer error = %v", err)
-	}
-}
-
-// Property: marshal/unmarshal round-trips every valid block packet.
-func TestPacketRoundTripProperty(t *testing.T) {
-	f := func(tag uint32, lineIdx uint32, src, dst uint16, write bool) bool {
-		op := OpReadBlock
-		if write {
-			op = OpWriteBlock
-		}
-		p := Packet{Op: op, Tag: tag, Addr: uint64(lineIdx) * CacheLineSize, Size: CacheLineSize, Src: src, Dst: dst}
-		buf, err := p.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var got Packet
-		return got.UnmarshalBinary(buf) == nil && got == p
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOpPredicatesAndNames(t *testing.T) {
 	if !OpReadBlock.IsRequest() || OpReadBlock.IsResponse() {
 		t.Error("OpReadBlock predicates wrong")
@@ -272,26 +233,6 @@ func TestPacketValidateFaultFlags(t *testing.T) {
 	for i, p := range ok {
 		if err := p.Validate(); err != nil {
 			t.Errorf("case %d: valid packet rejected: %v", i, err)
-		}
-	}
-}
-
-func TestPacketMarshalRoundTripFaultFields(t *testing.T) {
-	for _, orig := range []Packet{
-		{Op: OpWriteBlock, Tag: 1, Addr: 0x80, Size: CacheLineSize, Src: 1, Dst: 2, Seq: 9, Corrupt: true},
-		{Op: OpNack, Tag: 2, Addr: 0x80, Src: 2, Dst: 1, Seq: 65535, Poison: true},
-		{Op: OpReadResp, Tag: 3, Size: CacheLineSize, Poison: true, Corrupt: true},
-	} {
-		buf, err := orig.MarshalBinary()
-		if err != nil {
-			t.Fatalf("%+v: %v", orig, err)
-		}
-		var got Packet
-		if err := got.UnmarshalBinary(buf); err != nil {
-			t.Fatalf("%+v: %v", orig, err)
-		}
-		if got != orig {
-			t.Fatalf("round trip: got %+v, want %+v", got, orig)
 		}
 	}
 }

@@ -199,14 +199,8 @@ func TestTimeConversions(t *testing.T) {
 	if tm.Nanos() != 2500 {
 		t.Errorf("Nanos = %v", tm.Nanos())
 	}
-	if d := FromStd(3 * time.Microsecond); d != 3*Microsecond {
-		t.Errorf("FromStd = %v", d)
-	}
 	if got := (3 * Microsecond).Std(); got != 3*time.Microsecond {
 		t.Errorf("Std = %v", got)
-	}
-	if got := (10 * Nanosecond).Scale(2.5); got != 25*Nanosecond {
-		t.Errorf("Scale = %v", got)
 	}
 }
 

@@ -66,15 +66,6 @@ func (d Duration) Std() time.Duration {
 	return time.Duration(ns) * time.Nanosecond
 }
 
-// FromStd converts a wall-clock style duration into simulated picoseconds.
-func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * 1000 }
-
-// Scale returns d scaled by the dimensionless factor f, rounding to the
-// nearest picosecond.
-func (d Duration) Scale(f float64) Duration {
-	return Duration(float64(d)*f + 0.5)
-}
-
 // String renders the duration with an adaptive unit.
 func (d Duration) String() string {
 	switch {

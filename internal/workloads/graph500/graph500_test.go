@@ -263,9 +263,6 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
-	if err := PaperConfig(0).Validate(); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestPickRootsDistinctNonZeroDegree(t *testing.T) {
@@ -283,25 +280,6 @@ func TestPickRootsDistinctNonZeroDegree(t *testing.T) {
 	}
 }
 
-func TestTEPSStats(t *testing.T) {
-	if h, m, lo, hi := TEPSStats(nil); h != 0 || m != 0 || lo != 0 || hi != 0 {
-		t.Fatal("empty stats not zero")
-	}
-	rs := []KernelResult{{TEPS: 100}, {TEPS: 400}}
-	h, m, lo, hi := TEPSStats(rs)
-	if m != 250 || lo != 100 || hi != 400 {
-		t.Fatalf("mean/min/max = %v/%v/%v", m, lo, hi)
-	}
-	// Harmonic mean of 100 and 400 = 2/(1/100+1/400) = 160.
-	if h < 159.9 || h > 160.1 {
-		t.Fatalf("harmonic mean = %v, want 160", h)
-	}
-	// Harmonic <= arithmetic always.
-	if h > m {
-		t.Fatal("harmonic exceeded arithmetic mean")
-	}
-}
-
 func TestMultiRootRunStats(t *testing.T) {
 	tb := testbed(1)
 	cfg := DefaultConfig(tb.RemoteAddr(0))
@@ -314,8 +292,9 @@ func TestMultiRootRunStats(t *testing.T) {
 	if len(out.BFS) != 4 || len(out.SSSP) != 4 {
 		t.Fatalf("kernels = %d/%d", len(out.BFS), len(out.SSSP))
 	}
-	h, m, lo, hi := TEPSStats(out.BFS)
-	if h <= 0 || m <= 0 || lo <= 0 || hi < lo || h > m {
-		t.Fatalf("stats = %v %v %v %v", h, m, lo, hi)
+	for i, k := range out.BFS {
+		if k.TEPS <= 0 {
+			t.Fatalf("root %d: TEPS = %v", i, k.TEPS)
+		}
 	}
 }

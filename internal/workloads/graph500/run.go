@@ -46,15 +46,6 @@ func DefaultConfig(baseAddr uint64) Config {
 	}
 }
 
-// PaperConfig returns the paper's configuration (scale 20, edgefactor 16).
-func PaperConfig(baseAddr uint64) Config {
-	c := DefaultConfig(baseAddr)
-	c.Scale = 20
-	c.Roots = 1
-	c.Check = false
-	return c
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Scale < 1 || c.Scale > 30 {
@@ -193,34 +184,4 @@ func finish(res *RunResult) {
 	if n := len(res.SSSP); n > 0 {
 		res.MeanSSSPTime = ssum / sim.Duration(n)
 	}
-}
-
-// TEPSStats summarizes per-root TEPS the way the Graph500 specification
-// reports kernel performance: the harmonic mean (the spec's official
-// statistic, robust to a single fast root), plus arithmetic mean and
-// extrema. It returns zeros for an empty slice.
-func TEPSStats(results []KernelResult) (harmonicMean, mean, min, max float64) {
-	if len(results) == 0 {
-		return 0, 0, 0, 0
-	}
-	var invSum, sum float64
-	min, max = results[0].TEPS, results[0].TEPS
-	for _, r := range results {
-		sum += r.TEPS
-		if r.TEPS > 0 {
-			invSum += 1 / r.TEPS
-		}
-		if r.TEPS < min {
-			min = r.TEPS
-		}
-		if r.TEPS > max {
-			max = r.TEPS
-		}
-	}
-	n := float64(len(results))
-	mean = sum / n
-	if invSum > 0 {
-		harmonicMean = n / invSum
-	}
-	return harmonicMean, mean, min, max
 }

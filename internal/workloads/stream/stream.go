@@ -84,11 +84,6 @@ func DefaultConfig(baseAddr uint64) Config {
 	return Config{Elements: 1 << 17, Iterations: 1, Window: 128, BaseAddr: baseAddr}
 }
 
-// PaperConfig returns the paper's full-size configuration (10 M elements).
-func PaperConfig(baseAddr uint64) Config {
-	return Config{Elements: 10_000_000, Iterations: 1, Window: 64, BaseAddr: baseAddr}
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Elements < elemsPerLine {

@@ -140,9 +140,6 @@ func TestStreamConfigValidation(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
-	if err := PaperConfig(0).Validate(); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestStreamMultiIteration(t *testing.T) {
