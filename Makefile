@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test examples bench-test fuzz-smoke race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden trace-smoke metrics-smoke cover-pool deadcode clean
+.PHONY: all build test examples bench-test fuzz-smoke race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden determinism trace-smoke metrics-smoke cover-pool deadcode clean
 
 all: vet fmt-check build test
 
@@ -68,9 +68,10 @@ pool-chaos:
 # node graph, the pool allocator/policies, and the metrics plane must
 # stay >= 80% covered by their own tests.
 cover-pool:
-	@for pkg in ./internal/cluster ./internal/pool ./internal/metricsplane ./internal/metricsplane/monitor; do \
-		$(GO) test -coverprofile=/tmp/cover.out $$pkg >/dev/null || exit 1; \
-		pct=$$($(GO) tool cover -func=/tmp/cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; trap 'exit 1' HUP INT TERM; \
+	for pkg in ./internal/cluster ./internal/pool ./internal/metricsplane ./internal/metricsplane/monitor; do \
+		$(GO) test -coverprofile=$$tmp/cover.out $$pkg >/dev/null || exit 1; \
+		pct=$$($(GO) tool cover -func=$$tmp/cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 		echo "$$pkg coverage: $$pct%"; \
 		ok=$$(awk -v p="$$pct" 'BEGIN {print (p >= 80.0) ? 1 : 0}'); \
 		if [ "$$ok" != 1 ]; then echo "$$pkg below the 80% floor"; exit 1; fi; \
@@ -109,21 +110,42 @@ golden:
 		rm -rf $$tmp; exit 1; fi; \
 	diff -r results $$tmp; rc=$$?; rm -rf $$tmp; exit $$rc
 
+# Parallel sweep determinism: each listed experiment must write
+# byte-identical CSVs and stdout at -j 1 and -j 8. The list is every
+# experiment whose sweep takes a cost hint (so -j 8 dispatches its points
+# largest first while -j 1 runs them in index order), plus validation and
+# breaker-recovery.
+DETERMINISM_EXPERIMENTS = validation table1 fig5 mcbn mcln pool pool-contention breaker-recovery
+
+determinism:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; trap 'exit 1' HUP INT TERM; \
+	$(GO) build -o $$tmp/characterize ./cmd/characterize || exit 1; \
+	for e in $(DETERMINISM_EXPERIMENTS); do \
+		for j in 1 8; do \
+			mkdir $$tmp/$$e-j$$j && \
+			$$tmp/characterize -experiment $$e -j $$j -out $$tmp/$$e-j$$j > $$tmp/$$e-j$$j/report.txt || exit 1; \
+		done; \
+		diff -r $$tmp/$$e-j1 $$tmp/$$e-j8 || exit 1; \
+		echo "== $$e: -j 1 and -j 8 byte-identical"; \
+	done
+
 # Smoke-test span tracing: a tiny traced STREAM run must emit valid
 # Chrome-trace JSON and a nonempty per-stage breakdown. The same run with
 # -metrics-ndjson must stream windowed time series: the injector backlog,
 # link utilization and the tracer's stage rollups.
 trace-smoke:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; trap 'exit 1' HUP INT TERM; \
+	set -e; \
 	$(GO) run ./cmd/tfsim -workload stream -elements 4096 \
-		-trace /tmp/thymesim-trace.json | tee /tmp/thymesim-trace.out
-	grep -q '"traceEvents"' /tmp/thymesim-trace.json
-	grep -q 'end_to_end' /tmp/thymesim-trace.out
-	grep -q 'valid JSON' /tmp/thymesim-trace.out
+		-trace $$tmp/trace.json | tee $$tmp/trace.out; \
+	grep -q '"traceEvents"' $$tmp/trace.json; \
+	grep -q 'end_to_end' $$tmp/trace.out; \
+	grep -q 'valid JSON' $$tmp/trace.out; \
 	$(GO) run ./cmd/tfsim -workload stream -elements 4096 \
-		-trace /tmp/thymesim-trace.json -metrics-ndjson /tmp/thymesim-windows.ndjson
-	grep -q '"thymesim_nic_injector_backlog"' /tmp/thymesim-windows.ndjson
-	grep -q '"thymesim_link_utilization"' /tmp/thymesim-windows.ndjson
-	grep -q '"thymesim_stage_time_us_total"' /tmp/thymesim-windows.ndjson
+		-trace $$tmp/trace.json -metrics-ndjson $$tmp/windows.ndjson; \
+	grep -q '"thymesim_nic_injector_backlog"' $$tmp/windows.ndjson; \
+	grep -q '"thymesim_link_utilization"' $$tmp/windows.ndjson; \
+	grep -q '"thymesim_stage_time_us_total"' $$tmp/windows.ndjson
 
 # Smoke-test the live run monitor: build characterize, run the
 # pool-contention sweep with -serve, scrape /metrics mid-run, and

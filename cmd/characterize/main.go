@@ -29,12 +29,14 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"time"
 
 	"thymesim/internal/core"
 	"thymesim/internal/metricsplane"
 	"thymesim/internal/metricsplane/monitor"
 	"thymesim/internal/prof"
 	"thymesim/internal/sim"
+	"thymesim/internal/sweep"
 )
 
 // checkFlags rejects flag combinations that cannot produce what they ask
@@ -114,10 +116,22 @@ func main() {
 		plane.SweepPlanned(planned)
 	}
 
+	workers := sweep.Workers(opts.Workers)
 	run := func(name string, fn func()) {
 		fmt.Fprintf(os.Stderr, "running %s...\n", name)
 		plane.SetPhase(name)
+		points0, busy0 := sweep.Totals()
+		start := time.Now()
 		fn()
+		wall := time.Since(start)
+		points1, busy1 := sweep.Totals()
+		// The experiment's own cost: wall time, sweep points, and how busy
+		// the workers were (point wall ÷ workers × experiment wall).
+		line := fmt.Sprintf("  done in %.2f s: %d sweep points", wall.Seconds(), points1-points0)
+		if points1 > points0 {
+			line += fmt.Sprintf(", -j %d %.0f%% busy", workers, 100*(busy1-busy0).Seconds()/(float64(workers)*wall.Seconds()))
+		}
+		fmt.Fprintln(os.Stderr, line)
 		plane.SweepPointDone()
 	}
 

@@ -48,7 +48,7 @@ func (o Options) RunLatencyBreakdown(periods []int64, sample int) *StageBreakdow
 		pt BreakdownPoint
 		tr *obs.Tracer
 	}
-	runs := sweep.Map(o.Workers, len(periods), func(i int) traced {
+	runs := sweep.Map(o.Workers, len(periods), nil, func(i int) traced {
 		period := periods[i]
 		tb := o.Testbed(period)
 		tr := tb.EnableTracing(obs.Config{Sample: sample})

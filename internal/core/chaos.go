@@ -371,7 +371,7 @@ func (o Options) RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	// Each trial owns its testbed, fault gates, and counters; fan the
 	// workloads out and aggregate in input order.
-	rep.Results = sweep.Map(o.Workers, len(cfg.Workloads), func(i int) ChaosResult {
+	rep.Results = sweep.Map(o.Workers, len(cfg.Workloads), nil, func(i int) ChaosResult {
 		return o.runChaosWorkload(cfg, cfg.Workloads[i])
 	})
 	sums := make([]uint64, len(chaosCounterNames))
@@ -586,7 +586,7 @@ func (o Options) RunResilienceRecovery() *ResilienceRecovery {
 			jobs = append(jobs, job{f.scenario, level})
 		}
 	}
-	pts := sweep.Map(o.Workers, len(jobs), func(i int) RecoveryPoint {
+	pts := sweep.Map(o.Workers, len(jobs), nil, func(i int) RecoveryPoint {
 		return o.recoveryPoint(jobs[i].scenario, jobs[i].level)
 	})
 	rr.Baseline = pts[0]

@@ -478,7 +478,7 @@ func (o Options) RunBreakerRecovery() (*BreakerRecovery, error) {
 		pt  BreakerRecoveryPoint
 		err error
 	}
-	outs := sweep.Map(o.Workers, len(outages), func(i int) outcome {
+	outs := sweep.Map(o.Workers, len(outages), nil, func(i int) outcome {
 		const crashAt = 200 * sim.Microsecond
 		cfg := base
 		cfg.Seed = o.Seed

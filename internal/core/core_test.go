@@ -203,6 +203,30 @@ func TestAppDegradationShape(t *testing.T) {
 	}
 }
 
+// TestAppDegradationBaseline: the PERIOD=1 sweep point is Fig. 5's
+// baseline, and a sweep without one runs the same baseline as an extra
+// point, so the two sweeps agree wherever they share a PERIOD and the
+// PERIOD=1 slowdown is exactly 1.
+func TestAppDegradationBaseline(t *testing.T) {
+	o := fastOptions()
+	with := o.RunAppDegradation([]int64{1, 125, 1000})
+	without := o.RunAppDegradation([]int64{125, 1000})
+	for _, name := range []string{"redis", "graph500-bfs", "graph500-sssp"} {
+		w, wo := with.Figure.Get(name), without.Figure.Get(name)
+		if w == nil || wo == nil || len(w.Points) != 3 || len(wo.Points) != 2 {
+			t.Fatalf("%s: series missing or wrong length", name)
+		}
+		if y := w.Points[0].Y; y != 1 {
+			t.Errorf("%s: PERIOD=1 slowdown %v, want exactly 1", name, y)
+		}
+		for i, p := range wo.Points {
+			if q := w.Points[i+1]; p != q {
+				t.Errorf("%s: shared point %d differs: %+v with PERIOD=1 in the sweep, %+v without", name, i, q, p)
+			}
+		}
+	}
+}
+
 func TestMCBNEqualDivision(t *testing.T) {
 	o := fastOptions()
 	c := o.RunMCBN([]int{1, 2, 4})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"thymesim/internal/axis"
 	"thymesim/internal/cluster"
@@ -38,7 +39,7 @@ func (o Options) RunDelayValidation(periods []int64) *DelayValidation {
 	lat := v.Latency.AddSeries("stream")
 	bw := v.Bandwidth.AddSeries("stream")
 	bdp := v.BDP.AddSeries("stream")
-	ms := sweep.Map(o.Workers, len(periods), func(i int) StreamMeasurement {
+	ms := sweep.Map(o.Workers, len(periods), nil, func(i int) StreamMeasurement {
 		return o.StreamRemote(periods[i])
 	})
 	for i, p := range periods {
@@ -80,7 +81,7 @@ func (o Options) RunResilience(periods []int64) *Resilience {
 		Figure: &metrics.Figure{Title: "Figure 4: reliability under heavy delay injection", XLabel: "PERIOD (FPGA cycles)", YLabel: "latency (us)", LogX: true, LogY: true},
 	}
 	s := res.Figure.AddSeries("stream")
-	res.Points = sweep.Map(o.Workers, len(periods), func(i int) ResiliencePoint {
+	res.Points = sweep.Map(o.Workers, len(periods), nil, func(i int) ResiliencePoint {
 		p := periods[i]
 		tb := o.Testbed(p)
 		var attach control.AttachResult
@@ -119,18 +120,22 @@ func (o Options) RunTable1() *Table1 {
 	t := &Table1{}
 	// Six independent single-testbed measurements; fan them across the
 	// pool. Each job writes only its own variable, and sweep.Run's join
-	// orders all writes before the reads below.
+	// orders all writes before the reads below. A Graph500 job dwarfs a
+	// Redis one, and a remote run a local one, so they go first.
 	var kvLocal, kvLow, kvHigh KVMeasurement
 	var gLocal, gLow, gHigh GraphMeasurement
-	jobs := []func(){
-		func() { kvLocal = o.KVLocal() },
-		func() { kvLow = o.KVRemote(1) },
-		func() { kvHigh = o.KVRemote(1000) },
-		func() { gLocal = o.GraphLocal() },
-		func() { gLow = o.GraphRemote(1) },
-		func() { gHigh = o.GraphRemote(1000) },
+	jobs := []struct {
+		cost int
+		run  func()
+	}{
+		{0, func() { kvLocal = o.KVLocal() }},
+		{0, func() { kvLow = o.KVRemote(1) }},
+		{0, func() { kvHigh = o.KVRemote(1000) }},
+		{1, func() { gLocal = o.GraphLocal() }},
+		{2, func() { gLow = o.GraphRemote(1) }},
+		{2, func() { gHigh = o.GraphRemote(1000) }},
 	}
-	sweep.Run(o.Workers, len(jobs), func(i int) { jobs[i]() })
+	sweep.Run(o.Workers, len(jobs), func(i int) int { return jobs[i].cost }, func(i int) { jobs[i].run() })
 	t.RedisLow = kvLocal.Throughput / kvLow.Throughput
 	t.RedisHigh = kvLocal.Throughput / kvHigh.Throughput
 
@@ -177,16 +182,17 @@ func (o Options) RunAppDegradation(periods []int64) *AppDegradation {
 		kv KVMeasurement
 		g  GraphMeasurement
 	}
-	// The two PERIOD=1 baselines are the sweep's first points rather than
-	// a sweep of their own, so no worker idles behind a barrier while the
-	// long Graph500 baseline runs; it goes first for the same reason.
-	const nBase = 2
-	pts := sweep.Map(o.Workers, nBase+len(periods), func(i int) degPoint {
-		switch i {
-		case 0:
-			return degPoint{g: o.GraphRemote(1)}
-		case 1:
-			return degPoint{kv: o.KVRemote(1)}
+	// The sweep's PERIOD=1 point is the baseline: the same deterministic
+	// runs, so they are not simulated twice. A sweep without one adds the
+	// baseline as its first point, where the long Graph500 run starts at
+	// once instead of idling a worker at the tail.
+	nBase, base := 0, slices.Index(periods, 1) // base indexes pts
+	if base < 0 {
+		nBase, base = 1, 0
+	}
+	pts := sweep.Map(o.Workers, nBase+len(periods), nil, func(i int) degPoint {
+		if i < nBase {
+			return degPoint{kv: o.KVRemote(1), g: o.GraphRemote(1)}
 		}
 		p := periods[i-nBase]
 		// The paper quantifies injected delay by the latency STREAM
@@ -197,7 +203,7 @@ func (o Options) RunAppDegradation(periods []int64) *AppDegradation {
 			g:  o.GraphRemote(p),
 		}
 	})
-	gBase, kvBase := pts[0].g, pts[1].kv
+	gBase, kvBase := pts[base].g, pts[base].kv
 	for _, pt := range pts[nBase:] {
 		redis.Add(pt.x, kvBase.Throughput/pt.kv.Throughput)
 		bfs.Add(pt.x, float64(pt.g.BFSTime)/float64(gBase.BFSTime))
@@ -228,7 +234,8 @@ func (o Options) runMCBN(counts []int, mkCfg func(int64) cluster.Config) *Conten
 		Counts: counts,
 	}
 	s := c.Figure.AddSeries("per-instance")
-	c.BorrowerBps = sweep.Map(o.Workers, len(counts), func(idx int) float64 {
+	// A point's size grows with its STREAM instance count.
+	c.BorrowerBps = sweep.Map(o.Workers, len(counts), func(idx int) int { return counts[idx] }, func(idx int) float64 {
 		n := counts[idx]
 		tb := cluster.NewTestbed(mkCfg(1))
 		var runners []*stream.Runner
@@ -284,7 +291,8 @@ func (o Options) runMCLN(counts []int, mkCfg func(int64) cluster.Config, title s
 		Counts: counts,
 	}
 	s := c.Figure.AddSeries("borrower")
-	c.BorrowerBps = sweep.Map(o.Workers, len(counts), func(idx int) float64 {
+	// A point's size grows with its lender-local contender count.
+	c.BorrowerBps = sweep.Map(o.Workers, len(counts), func(idx int) int { return counts[idx] }, func(idx int) float64 {
 		n := counts[idx]
 		tb := cluster.NewTestbed(mkCfg(1))
 		// Borrower's remote STREAM.
@@ -355,7 +363,7 @@ func (o Options) RunDistImpact(meanDelay sim.Duration) *DistImpact {
 		m   StreamMeasurement
 		p99 float64
 	}
-	pts := sweep.Map(o.Workers, len(gates), func(i int) distPoint {
+	pts := sweep.Map(o.Workers, len(gates), nil, func(i int) distPoint {
 		cfg := o.TestbedConfig(0)
 		cfg.Gate = gates[i].gate
 		cfg.Period = 0

@@ -33,38 +33,49 @@ func writeReportDir(t *testing.T, rep *Report) map[string][]byte {
 }
 
 // TestParallelSweepDeterminism is the tentpole regression guarantee: the
-// worker count is a throughput knob, never a results knob. The same seed
-// must produce byte-identical CSVs at -j 1 and -j 8.
+// worker count and the largest-first dispatch order are throughput knobs,
+// never results knobs. The same seed must produce byte-identical CSVs at
+// -j 1 and -j 8. Fig. 5 runs twice: with a PERIOD=1 point, which doubles
+// as the baseline, and without one, where the baseline is an extra point.
 func TestParallelSweepDeterminism(t *testing.T) {
 	periods := []int64{1, 10, 50, 100}
 	counts := []int{0, 1, 2}
-	build := func(workers int) *Report {
+	build := func(workers int) []*Report {
 		o := fastOptions()
 		o.Workers = workers
-		return &Report{
+		return []*Report{{
 			Options:    o,
 			Validation: o.RunDelayValidation(periods),
+			Table1:     o.RunTable1(),
+			Fig5:       o.RunAppDegradation([]int64{1, 125, 1000}),
 			MCBN:       o.RunMCBN(counts),
 			MCLN:       o.RunMCLN(counts),
+			Pool:       o.RunMCLNPool(counts, 25e9),
 			PoolCont:   o.RunPoolContention([]int{1, 2, 4}, 2),
 			Breakdown:  o.RunLatencyBreakdown(periods, 4),
+		}, {
+			Options: o,
+			Fig5:    o.RunAppDegradation([]int64{125, 1000}),
+		}}
+	}
+	serialReps, parallelReps := build(1), build(8)
+	for r := range serialReps {
+		serial := writeReportDir(t, serialReps[r])
+		parallel := writeReportDir(t, parallelReps[r])
+		if len(serial) == 0 {
+			t.Fatal("no CSV files written")
 		}
-	}
-	serial := writeReportDir(t, build(1))
-	parallel := writeReportDir(t, build(8))
-	if len(serial) == 0 {
-		t.Fatal("no CSV files written")
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("file sets differ: %d serial vs %d parallel", len(serial), len(parallel))
-	}
-	for name, want := range serial {
-		got, ok := parallel[name]
-		if !ok {
-			t.Fatalf("%s missing from parallel run", name)
+		if len(serial) != len(parallel) {
+			t.Fatalf("report %d: file sets differ: %d serial vs %d parallel", r, len(serial), len(parallel))
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs between -j 1 and -j 8:\nserial:\n%s\nparallel:\n%s", name, want, got)
+		for name, want := range serial {
+			got, ok := parallel[name]
+			if !ok {
+				t.Fatalf("report %d: %s missing from parallel run", r, name)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("report %d: %s differs between -j 1 and -j 8:\nserial:\n%s\nparallel:\n%s", r, name, want, got)
+			}
 		}
 	}
 }

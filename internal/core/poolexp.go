@@ -50,8 +50,10 @@ func (o Options) RunPoolContention(counts []int, lenders int) *PoolContention {
 		Policies: policies,
 		Counts:   counts,
 	}
-	flat := sweep.Map(o.Workers, len(policies)*len(counts), func(idx int) float64 {
-		return o.runPoolPoint(policies[idx/len(counts)], counts[idx%len(counts)], lenders)
+	// A point's size grows with its borrower count.
+	borrowers := func(idx int) int { return counts[idx%len(counts)] }
+	flat := sweep.Map(o.Workers, len(policies)*len(counts), borrowers, func(idx int) float64 {
+		return o.runPoolPoint(policies[idx/len(counts)], borrowers(idx), lenders)
 	})
 	pc.Bps = make([][]float64, len(policies))
 	for pi, name := range policies {
