@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test examples bench-test fuzz-smoke race race-pools race-metrics vet fmt-check chaos pool-chaos characterize golden determinism trace-smoke metrics-smoke cover-pool deadcode clean
+.PHONY: all build test examples bench-test fuzz-smoke race race-pools race-metrics vet fmt-check chaos characterize golden determinism trace-smoke metrics-smoke cover-pool deadcode clean
 
 all: vet fmt-check build test
 
@@ -55,14 +55,12 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Run the link-fault chaos harness (nonzero exit on invariant violations).
+# Run the chaos gate CI runs: the link-fault harness with the dead-link
+# failover, the scheduled lender-fault campaign and the N×M pool churn
+# campaign, each audited by cluster.Pool.Audit (nonzero exit on any
+# violation).
 chaos:
-	$(GO) run ./cmd/chaos -failover
-
-# Run the N×M pool chaos campaign: region churn + lender crash/restore
-# under the deadline+ARQ stack, audited (nonzero exit on violations).
-pool-chaos:
-	$(GO) run ./cmd/chaos -pool
+	$(GO) run ./cmd/chaos -failover -schedule -pool
 
 # Coverage floor for the pooling and observability layers: the cluster
 # node graph, the pool allocator/policies, and the metrics plane must

@@ -159,7 +159,10 @@ func run(w io.Writer, args []string) error {
 		r := failoverResult
 		fmt.Fprintf(w, "degraded failover: completed=%t dead_declared=%t degraded=%t pages=%d local_accesses=%d poisoned=%d elapsed=%.4g us\n",
 			r.Completed, r.DeadDeclared, r.Degraded, r.DegradedPages, r.LocalAccesses, r.Poisoned, r.ElapsedUs)
-		if !r.Completed || !r.DeadDeclared || !r.Degraded {
+		for _, v := range r.Violations {
+			log.Printf("failover: VIOLATION: %s", v)
+		}
+		if !r.Completed || !r.DeadDeclared || !r.Degraded || len(r.Violations) > 0 {
 			return errors.New("degraded failover did not complete cleanly")
 		}
 	}

@@ -113,7 +113,7 @@ func main() {
 				planned++
 			}
 		}
-		plane.SweepPlanned(planned)
+		plane.ExperimentsPlanned(planned)
 	}
 
 	workers := sweep.Workers(opts.Workers)
@@ -132,7 +132,7 @@ func main() {
 			line += fmt.Sprintf(", -j %d %.0f%% busy", workers, 100*(busy1-busy0).Seconds()/(float64(workers)*wall.Seconds()))
 		}
 		fmt.Fprintln(os.Stderr, line)
-		plane.SweepPointDone()
+		plane.ExperimentDone()
 	}
 
 	stopCPU, err := prof.Start(*cpuProfile)

@@ -110,7 +110,7 @@ func TestMetricsServeSmoke(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/status")), &st); err != nil {
 		t.Fatalf("/status not JSON: %v", err)
 	}
-	if !strings.Contains(st.Run, "pool-contention") || st.SweepPlanned != 1 {
+	if !strings.Contains(st.Run, "pool-contention") || st.ExperimentsPlanned != 1 {
 		t.Fatalf("/status = %+v", st)
 	}
 

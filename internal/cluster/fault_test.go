@@ -54,7 +54,10 @@ func TestCrashBlackHolesRequests(t *testing.T) {
 	if tb.LenderMem.Reads() != 0 {
 		t.Fatalf("crashed lender touched DRAM: %d reads", tb.LenderMem.Reads())
 	}
-	if live := checkPacketBalance(t, tb.Pool()); live == 0 {
+	if v := tb.Pool().Audit(); len(v) != 0 {
+		t.Errorf("audit: %q", v)
+	}
+	if tb.BorrowerNIC.PacketsLive() == 0 {
 		t.Fatal("black-holed requests left no packet live")
 	}
 }
@@ -93,7 +96,10 @@ func TestCrashLosesInFlightServes(t *testing.T) {
 	if tb.backend.Poisoned() != 0 {
 		t.Fatalf("poisoned = %d", tb.backend.Poisoned())
 	}
-	if live := checkPacketBalance(t, tb.Pool()); live == 0 {
+	if v := tb.Pool().Audit(); len(v) != 0 {
+		t.Errorf("audit: %q", v)
+	}
+	if tb.BorrowerNIC.PacketsLive() == 0 {
 		t.Fatal("the lost serve left no packet live")
 	}
 }

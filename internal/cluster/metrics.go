@@ -55,13 +55,13 @@ func (p *Pool) publish(pb *metricsplane.Publisher) {
 		for i, be := range b.backends {
 			publishFill(pb, l.WithTenant(b.tenants[i]), be)
 		}
-		publishCaches(pb, l, b.caches)
+		publishCaches(pb, l, b.hierarchies)
 	}
 	for _, ln := range p.Lenders {
 		l := metricsplane.ForNode(ln.ID)
 		publishNIC(pb, l, ln.NIC)
 		publishDRAM(pb, l, ln.Mem)
-		publishCaches(pb, l, ln.caches)
+		publishCaches(pb, l, ln.hierarchies)
 		a := ln.Alloc
 		al := metricsplane.NewLabels().WithLender(ln.Index)
 		free, largest := a.FreeBytes(), a.LargestFree()
@@ -151,15 +151,15 @@ func publishChannel(pb *metricsplane.Publisher, l metricsplane.Labels, c *netlin
 	pb.Gauge("thymesim_link_flights_live", "Beats in the cable's segment: off the sender's queue, not yet in the receiver's.", l, float64(c.FlightsLive()))
 }
 
-// publishCaches publishes a node's LLC counters summed over its caches;
-// a node that built none while the plane was attached has no series.
-func publishCaches(pb *metricsplane.Publisher, l metricsplane.Labels, caches []*cache.Cache) {
-	if len(caches) == 0 {
+// publishCaches publishes a node's LLC counters summed over its
+// hierarchies; a node that built none has no series.
+func publishCaches(pb *metricsplane.Publisher, l metricsplane.Labels, hs []*memport.Hierarchy) {
+	if len(hs) == 0 {
 		return
 	}
 	var sum cache.Stats
-	for _, c := range caches {
-		st := c.Stats()
+	for _, h := range hs {
+		st := h.CacheStats()
 		sum.Hits += st.Hits
 		sum.Misses += st.Misses
 		sum.Evictions += st.Evictions

@@ -119,9 +119,9 @@ type BorrowerNode struct {
 	backends  []*memport.RemoteBackend
 	tenants   []string // each backend's metrics tenant label
 	tagCursor uint32
-	// caches are the LLCs built while the metrics plane was attached,
-	// which the pool's collector sums.
-	caches []*cache.Cache
+	// hierarchies are the ones the node built, which the pool's collector
+	// sums and Audit checks.
+	hierarchies []*memport.Hierarchy
 	// sender is what backends send through: the ARQ layer when
 	// configured, else the NIC directly.
 	sender memport.Sender
@@ -146,7 +146,7 @@ type LenderNode struct {
 	Mem   *dram.DRAM
 	Alloc *pool.Allocator
 
-	caches []*cache.Cache // as BorrowerNode.caches
+	hierarchies []*memport.Hierarchy // as BorrowerNode.hierarchies
 }
 
 // Pool is the composed N-borrower × M-lender system: the node-graph
@@ -547,10 +547,10 @@ func (p *Pool) pairedLenderNode() int { return p.cfg.Borrowers }
 // Backend exposes the borrower's shared port backend (diagnostics).
 func (b *BorrowerNode) Backend() *memport.RemoteBackend { return b.backend }
 
-// Caches returns the LLCs of the hierarchies the borrower built while the
-// metrics plane was attached: the ones the pool's collector sums.
-func (b *BorrowerNode) Caches() []*cache.Cache {
-	return append([]*cache.Cache(nil), b.caches...)
+// Hierarchies returns the hierarchies the borrower built: the ones the
+// pool's collector sums and Audit checks.
+func (b *BorrowerNode) Hierarchies() []*memport.Hierarchy {
+	return append([]*memport.Hierarchy(nil), b.hierarchies...)
 }
 
 // Backends returns all port backends the borrower has created.
@@ -638,88 +638,43 @@ func (b *BorrowerNode) ProbeLender(lender *LenderNode, deadline sim.Duration, do
 // misses traverse the full disaggregated datapath. Hierarchies share the
 // node's NIC and tag space — the MCBN contention mechanism.
 func (b *BorrowerNode) NewRemoteHierarchy() *memport.Hierarchy {
-	cfg := b.p.cfg.Base
-	h := memport.NewHierarchy(b.K, b.newLLC(), b.backend, cfg.MSHRs)
-	h.SetTracer(b.p.tracer)
-	return h
-}
-
-// newLLC builds a hierarchy's cache, keeping it for the metrics
-// collector when the plane is attached.
-func (b *BorrowerNode) newLLC() *cache.Cache {
-	c := cache.New(b.p.cfg.Base.LLC)
-	if b.p.plane != nil {
-		b.caches = append(b.caches, c)
-	}
-	return c
+	return b.p.newHierarchy(&b.hierarchies, b.backend)
 }
 
 // NewRemoteHierarchyPrio is NewRemoteHierarchy with a dedicated backend
 // stamping the given QoS class on its requests.
 func (b *BorrowerNode) NewRemoteHierarchyPrio(prio uint8) *memport.Hierarchy {
-	cfg := b.p.cfg.Base
 	be := b.newBackend()
 	be.SetPriority(prio)
-	h := memport.NewHierarchy(b.K, b.newLLC(), be, cfg.MSHRs)
-	h.SetTracer(b.p.tracer)
-	return h
+	return b.p.newHierarchy(&b.hierarchies, be)
 }
 
 // NewLocalHierarchy returns a hierarchy against the borrower's own DRAM.
 func (b *BorrowerNode) NewLocalHierarchy() *memport.Hierarchy {
-	cfg := b.p.cfg.Base
-	backend := memport.NewDRAMBackend(b.Mem)
-	if b.p.tracer != nil {
-		backend.SetTracer(b.p.tracer)
-	}
-	h := memport.NewHierarchy(b.K, b.newLLC(), backend, cfg.MSHRs)
-	h.SetTracer(b.p.tracer)
-	return h
+	return b.p.newHierarchy(&b.hierarchies, b.p.localBackend(b.Mem))
 }
 
 // NewLenderLocalHierarchy returns a hierarchy for applications running on
 // lender l against its own DRAM — the MCLN contenders.
 func (p *Pool) NewLenderLocalHierarchy(l int) *memport.Hierarchy {
+	ln := p.Lenders[l]
+	return p.newHierarchy(&ln.hierarchies, p.localBackend(ln.Mem))
+}
+
+// localBackend serves a hierarchy from a node's own DRAM.
+func (p *Pool) localBackend(mem *dram.DRAM) *memport.DRAMBackend {
+	backend := memport.NewDRAMBackend(mem)
+	backend.SetTracer(p.tracer)
+	return backend
+}
+
+// newHierarchy builds a hierarchy with a fresh LLC on backend, traced when
+// the pool is, and keeps it in the node's list for the collector and
+// Audit.
+func (p *Pool) newHierarchy(list *[]*memport.Hierarchy, backend memport.LineBackend) *memport.Hierarchy {
 	cfg := p.cfg.Base
-	backend := memport.NewDRAMBackend(p.Lenders[l].Mem)
-	if p.tracer != nil {
-		backend.SetTracer(p.tracer)
-	}
-	c := cache.New(cfg.LLC)
-	if p.plane != nil {
-		p.Lenders[l].caches = append(p.Lenders[l].caches, c)
-	}
-	h := memport.NewHierarchy(p.Lenders[l].K, c, backend, cfg.MSHRs)
+	h := memport.NewHierarchy(p.K, cache.New(cfg.LLC), backend, cfg.MSHRs)
 	h.SetTracer(p.tracer)
+	*list = append(*list, h)
 	return h
-}
-
-// PairProber adapts one borrower/lender pair to the control-plane Prober
-// interface (structurally satisfies control.Prober), so the attach
-// handshake and link supervisor run unchanged against any pool pair.
-type PairProber struct {
-	B *BorrowerNode
-	L *LenderNode
-}
-
-// SendProbe implements the control-plane probe primitive.
-func (pp PairProber) SendProbe(done func(rtt sim.Duration)) bool {
-	return pp.B.ProbeLender(pp.L, 0, func(ok bool, rtt sim.Duration) {
-		if ok {
-			done(rtt)
-		}
-	})
-}
-
-// Probe is SendProbe with an explicit deadline (control.DeadlineProber).
-func (pp PairProber) Probe(deadline sim.Duration, done func(ok bool, rtt sim.Duration)) bool {
-	return pp.B.ProbeLender(pp.L, deadline, done)
-}
-
-// Kernel returns the simulation kernel for timers.
-func (pp PairProber) Kernel() *sim.Kernel { return pp.B.K }
-
-// Prober returns the control-plane adapter for a borrower/lender pair.
-func (p *Pool) Prober(borrower, lender int) PairProber {
-	return PairProber{B: p.Borrowers[borrower], L: p.Lenders[lender]}
 }

@@ -348,7 +348,10 @@ func TestPoolProbeAndCrashOverFabric(t *testing.T) {
 	}
 	// The probe black-holed by the crash strands its packet; nothing else
 	// may stay live.
-	if live := checkPacketBalance(t, p); live != 1 {
+	if v := p.Audit(); len(v) != 0 {
+		t.Errorf("audit: %q", v)
+	}
+	if live := b.NIC.PacketsLive(); live != 1 {
 		t.Fatalf("%d packets live, want the one black-holed probe", live)
 	}
 }
@@ -400,57 +403,6 @@ func TestPoolHierarchyVariants(t *testing.T) {
 	// The prio hierarchy created a second backend on the borrower.
 	if got := len(b.Backends()); got != 2 {
 		t.Fatalf("borrower has %d backends", got)
-	}
-}
-
-// TestPoolProberAdapter checks the control-plane adapter (SendProbe and
-// deadline Probe against an arbitrary pair) and that a lender brownout
-// stretches fill latency through SetLenderSlowdown.
-func TestPoolProberAdapter(t *testing.T) {
-	p := NewPool(poolConfig(2, 2))
-	pp := p.Prober(1, 0)
-	if pp.Kernel() != p.K {
-		t.Fatal("prober kernel mismatch")
-	}
-	var plain, deadline sim.Duration
-	p.K.At(0, func() {
-		if !pp.SendProbe(func(rtt sim.Duration) { plain = rtt }) {
-			t.Error("SendProbe not enqueued")
-		}
-	})
-	p.K.At(sim.Time(100*sim.Microsecond), func() {
-		if !pp.Probe(sim.Millisecond, func(ok bool, rtt sim.Duration) {
-			if !ok {
-				t.Error("healthy probe missed a 1ms deadline")
-			}
-			deadline = rtt
-		}) {
-			t.Error("Probe not enqueued")
-		}
-	})
-	// Brownout: the same fill takes longer once the lender's memory slows.
-	r, err := p.Attach(1, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := p.Borrowers[1].NewRemoteHierarchy()
-	var nominal, slowed sim.Duration
-	start2 := sim.Time(400 * sim.Microsecond)
-	p.K.At(sim.Time(200*sim.Microsecond), func() {
-		t0 := p.K.Now()
-		h.Access(r.Addr(0), 8, false, func() { nominal = sim.Duration(p.K.Now() - t0) })
-	})
-	p.K.At(sim.Time(300*sim.Microsecond), func() { p.SetLenderSlowdown(r.Lender, 8) })
-	p.K.At(start2, func() {
-		t0 := p.K.Now()
-		h.Access(r.Addr(ocapi.CacheLineSize), 8, false, func() { slowed = sim.Duration(p.K.Now() - t0) })
-	})
-	p.K.Run()
-	if plain == 0 || deadline == 0 {
-		t.Fatalf("probes did not complete (plain %v, deadline %v)", plain, deadline)
-	}
-	if nominal == 0 || slowed <= nominal {
-		t.Fatalf("brownout fill %v not above nominal %v", slowed, nominal)
 	}
 }
 

@@ -270,46 +270,16 @@ func (o Options) runChaosOn(tb *cluster.Testbed, gs *chaosGates, cfg ChaosConfig
 	}
 	st := tb.ARQ.Stats()
 	res.Retransmits, res.Timeouts, res.NackRetries, res.Dead = st.Retransmits, st.Timeouts, st.NackRetries, st.Dead
-	b := tb.RemoteBackend()
-	res.Poisoned = b.Poisoned()
+	res.Poisoned = tb.RemoteBackend().Poisoned()
 
-	viol := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
 	if !done {
-		viol("workload %s did not complete", name)
+		res.Violations = append(res.Violations, fmt.Sprintf("workload %s did not complete", name))
 	}
-	// No leaked transactions: everything issued resolved before the kernel
-	// drained.
-	if n := tb.ARQ.Outstanding(); n != 0 {
-		viol("%d ARQ transactions leaked", n)
-	}
-	if n := tb.ARQ.QueuedRetries(); n != 0 {
-		viol("%d retransmissions stuck in the retry queue", n)
-	}
-	if n := b.Outstanding(); n != 0 {
-		viol("%d port commands leaked", n)
-	}
-	if n := b.QueuedSends(); n != 0 {
-		viol("%d port sends never entered the NIC", n)
-	}
-	if n := tb.BorrowerNIC.InjectorBacklog(); n != 0 {
-		viol("borrower injector backlog %d not drained", n)
-	}
-	if n := tb.LenderNIC.InjectorBacklog(); n != 0 {
-		viol("lender injector backlog %d not drained", n)
-	}
-	// Accounting balances: every tracked transaction completed or died, and
-	// every port line op (128B each way) got exactly one completion.
-	if st.Tracked != st.Completed+st.Dead {
-		viol("ARQ accounting: tracked %d != completed %d + dead %d", st.Tracked, st.Completed, st.Dead)
-	}
-	if got := b.Reads() + b.Writes(); got != st.Tracked {
-		viol("line accounting: port completed %d ops, ARQ tracked %d", got, st.Tracked)
-	}
+	res.Violations = append(res.Violations, tb.Pool().Audit()...)
 	// A fault-free run must look exactly like the vanilla datapath.
 	if !cfg.Faults.Enabled() && (res.Poisoned != 0 || st.Retransmits != 0 || st.Dead != 0) {
-		viol("fault-free run saw recovery activity: %d retransmits, %d poisoned", st.Retransmits, res.Poisoned)
+		res.Violations = append(res.Violations, fmt.Sprintf("fault-free run saw recovery activity: %d retransmits, %d poisoned",
+			st.Retransmits, res.Poisoned))
 	}
 	if len(res.Violations) > 0 {
 		o.Metrics.DumpOnAuditFailure("chaos-"+name, res.Violations)
@@ -408,6 +378,8 @@ type DegradedFailover struct {
 	LocalAccesses uint64
 	Poisoned      uint64
 	ElapsedUs     float64
+	// Violations lists the pool audit's failed invariants (empty = passed).
+	Violations []string
 }
 
 // RunDegradedFailover wires Supervisor.OnStateChange to migrate.Degrade:
@@ -464,6 +436,10 @@ func (o Options) RunDegradedFailover() *DegradedFailover {
 	res.DegradedPages = mig.Stats().DegradedPages
 	res.LocalAccesses = mig.Stats().LocalAccesses
 	res.Poisoned = tb.RemoteBackend().Poisoned()
+	res.Violations = tb.Pool().Audit()
+	if len(res.Violations) > 0 {
+		o.Metrics.DumpOnAuditFailure("degraded-failover", res.Violations)
+	}
 	return res
 }
 
@@ -481,6 +457,8 @@ type RecoveryPoint struct {
 	MeanRecoveryUs              float64
 	Retransmits, Dead, Poisoned uint64
 	Downs, Recoveries           uint64
+	// Violations lists the pool audit's failed invariants (empty = passed).
+	Violations []string
 }
 
 // ResilienceRecovery holds the fig_resilience_recovery sweep: delivered
@@ -540,6 +518,10 @@ func (o Options) recoveryPoint(scenario string, level float64) RecoveryPoint {
 	bw, _ := stream.Summary(out)
 	st := tb.ARQ.Stats()
 	ss := sup.Stats()
+	v := tb.Pool().Audit()
+	if len(v) > 0 {
+		o.Metrics.DumpOnAuditFailure("recovery-"+scenario, v)
+	}
 	return RecoveryPoint{
 		Scenario:       scenario,
 		Level:          level,
@@ -550,6 +532,7 @@ func (o Options) recoveryPoint(scenario string, level float64) RecoveryPoint {
 		Poisoned:       tb.RemoteBackend().Poisoned(),
 		Downs:          ss.Downs,
 		Recoveries:     ss.Recoveries,
+		Violations:     v,
 	}
 }
 

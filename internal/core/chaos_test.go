@@ -153,6 +153,9 @@ func TestDegradedFailover(t *testing.T) {
 	if r.Poisoned == 0 {
 		t.Fatalf("no poisoned completions before the dead declaration: %+v", r)
 	}
+	if len(r.Violations) != 0 {
+		t.Fatalf("pool audit: %q", r.Violations)
+	}
 }
 
 func TestResilienceRecoverySweep(t *testing.T) {
@@ -163,6 +166,11 @@ func TestResilienceRecoverySweep(t *testing.T) {
 	}
 	if rr.Baseline.BandwidthGBs <= 0 {
 		t.Fatalf("baseline bandwidth %v", rr.Baseline.BandwidthGBs)
+	}
+	for _, p := range append([]RecoveryPoint{rr.Baseline}, rr.Points...) {
+		if len(p.Violations) != 0 {
+			t.Errorf("%s level %g: pool audit %q", p.Scenario, p.Level, p.Violations)
+		}
 	}
 	// Bandwidth degrades monotonically-ish with fault intensity within each
 	// family; assert the endpoints at least.

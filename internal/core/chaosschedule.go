@@ -150,8 +150,8 @@ type ChaosScheduleResult struct {
 	Completed bool
 	ElapsedUs float64
 	// Transaction accounting.
-	Fills, Poisoned, Expired, ExpiredUnsent, LateResponses uint64
-	PoisonedFrac                                           float64
+	Fills, Poisoned, Expired uint64
+	PoisonedFrac             float64
 	// Lender fault-domain activity.
 	CrashDrops, ServesLost, WipeNacks uint64
 	// Burst-error activity (zero without burst windows).
@@ -265,8 +265,6 @@ func (o Options) runChaosSchedule(cfg ChaosScheduleConfig) (*ChaosScheduleResult
 	res.Fills = b.Reads() + b.Writes()
 	res.Poisoned = b.Poisoned()
 	res.Expired = b.Expired()
-	res.ExpiredUnsent = b.ExpiredUnsent()
-	res.LateResponses = b.LateResponses()
 	if res.Fills > 0 {
 		res.PoisonedFrac = float64(res.Poisoned) / float64(res.Fills)
 	}
@@ -297,32 +295,7 @@ func (o Options) auditChaosSchedule(cfg ChaosScheduleConfig, tb *cluster.Testbed
 	if !res.Completed {
 		viol("campaign did not complete")
 	}
-	b := tb.RemoteBackend()
-	st := tb.ARQ.Stats()
-
-	// No leaked transactions anywhere in the stack.
-	if n := tb.ARQ.Outstanding(); n != 0 {
-		viol("%d ARQ transactions leaked", n)
-	}
-	if n := tb.ARQ.QueuedRetries(); n != 0 {
-		viol("%d retransmissions stuck in the retry queue", n)
-	}
-	if n := b.Outstanding(); n != 0 {
-		viol("%d port commands leaked", n)
-	}
-	if n := b.QueuedSends(); n != 0 {
-		viol("%d port sends never entered the NIC", n)
-	}
-	// Exactly-once accounting under deadlines: every completion is either
-	// an ARQ-tracked wire transaction or a withdrawal that never reached
-	// the NIC — and nothing completed twice.
-	if st.Tracked != st.Completed+st.Dead {
-		viol("ARQ accounting: tracked %d != completed %d + dead %d", st.Tracked, st.Completed, st.Dead)
-	}
-	if res.Fills != st.Tracked+res.ExpiredUnsent {
-		viol("line accounting: %d completions != %d tracked + %d expired-unsent",
-			res.Fills, st.Tracked, res.ExpiredUnsent)
-	}
+	res.Violations = append(res.Violations, tb.Pool().Audit()...)
 	// Bounded blast radius.
 	if res.PoisonedFrac > cfg.MaxPoisonedFrac {
 		viol("poisoned fraction %.3f exceeds bound %.3f", res.PoisonedFrac, cfg.MaxPoisonedFrac)

@@ -20,12 +20,12 @@ type series struct {
 }
 
 // exportedCounters returns every thymesim_*_total counter the plane
-// exports, except the plane's own sweep progress.
+// exports, except the plane's own experiment progress.
 func exportedCounters(p *metricsplane.Plane) map[series]uint64 {
 	out := make(map[series]uint64)
 	for _, s := range p.Snapshot() {
 		if s.Kind != metricsplane.KindCounter || !strings.HasSuffix(s.Name, "_total") ||
-			strings.HasPrefix(s.Name, "thymesim_sweep_") {
+			strings.HasPrefix(s.Name, "thymesim_experiments_") {
 			continue
 		}
 		out[series{s.Name, s.Labels}] = uint64(s.Value)
@@ -95,8 +95,8 @@ func testbedCounters(t *testing.T, tbs []*cluster.Testbed) map[series]uint64 {
 		add("thymesim_fill_expired_unsent_total", b, be.ExpiredUnsent())
 		add("thymesim_fill_late_responses_total", b, be.LateResponses())
 
-		for _, c := range node.Caches() {
-			st := c.Stats()
+		for _, h := range node.Hierarchies() {
+			st := h.CacheStats()
 			add("thymesim_llc_hits_total", b, st.Hits)
 			add("thymesim_llc_misses_total", b, st.Misses)
 			add("thymesim_llc_evictions_total", b, st.Evictions)

@@ -175,10 +175,10 @@ func (r *PoolChaos) OK() bool { return len(r.Violations) == 0 }
 // attaches, detaches, or grows regions and bursts reads/writes at one of
 // them, while lenders randomly crash and come back wiped (a control probe
 // re-arms them). The deadline+ARQ stack keeps every transaction resolving;
-// afterwards the audit checks the invariants that churn must never bend:
-// exactly-once port accounting, ARQ conservation, allocator conservation
-// against the live region set, full completion, and a clean fabric. An
-// invalid cfg is returned as an error before anything runs.
+// afterwards the campaign checks full completion and a drop-free switch,
+// and the pool's Audit checks the invariants churn must never bend
+// (exactly-once port accounting, ARQ and allocator conservation, nothing
+// left live). An invalid cfg is returned as an error before anything runs.
 func (o Options) RunPoolChaos(cfg PoolChaosConfig) (*PoolChaos, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -205,7 +205,6 @@ func (o Options) RunPoolChaos(cfg PoolChaosConfig) (*PoolChaos, error) {
 	rng := sim.NewRand(cfg.Seed ^ 0x900C)
 	res := &PoolChaos{Seed: cfg.Seed, Rounds: cfg.Rounds}
 
-	live := make([][]cluster.Region, cfg.Borrowers)
 	hs := make([]*memport.Hierarchy, cfg.Borrowers)
 	for i := range hs {
 		hs[i] = p.Borrowers[i].NewRemoteHierarchy()
@@ -236,40 +235,37 @@ func (o Options) RunPoolChaos(cfg PoolChaosConfig) (*PoolChaos, error) {
 			switch op := rng.Intn(10); {
 			case op < 4:
 				size := uint64(rng.Intn(16)+1) * (64 << 10)
-				r, err := p.Attach(b, size)
-				if err != nil {
+				if _, err := p.Attach(b, size); err != nil {
 					res.AttachRejected++ // pool full here; legal
 					break
 				}
-				live[b] = append(live[b], r)
 				res.Attaches++
 			case op < 6:
-				if len(live[b]) == 0 {
+				rs := p.Regions(b)
+				if len(rs) == 0 {
 					break
 				}
-				j := rng.Intn(len(live[b]))
-				if err := p.Detach(live[b][j]); err != nil {
+				if err := p.Detach(rs[rng.Intn(len(rs))]); err != nil {
 					panic(err)
 				}
-				live[b] = append(live[b][:j], live[b][j+1:]...)
 				res.Detaches++
 			case op < 7:
-				if len(live[b]) == 0 {
+				rs := p.Regions(b)
+				if len(rs) == 0 {
 					break
 				}
-				j := rng.Intn(len(live[b]))
-				grown, err := p.Grow(live[b][j], live[b][j].Size+64<<10)
-				if err != nil {
+				r := rs[rng.Intn(len(rs))]
+				if _, err := p.Grow(r, r.Size+64<<10); err != nil {
 					break // neighbour carved out; legal
 				}
-				live[b][j] = grown
 				res.Grows++
 			}
 			// Traffic phase: a burst at one random live region.
-			if len(live[b]) == 0 {
+			rs := p.Regions(b)
+			if len(rs) == 0 {
 				continue
 			}
-			r := live[b][rng.Intn(len(live[b]))]
+			r := rs[rng.Intn(len(rs))]
 			lines := int(r.Size / ocapi.CacheLineSize)
 			for a := rng.Intn(24) + 8; a > 0; a-- {
 				off := uint64(rng.Intn(lines)) * ocapi.CacheLineSize
@@ -281,47 +277,18 @@ func (o Options) RunPoolChaos(cfg PoolChaosConfig) (*PoolChaos, error) {
 	}
 	p.Run()
 
-	viol := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
-	if res.Issued != res.Completed {
-		viol("completion: %d accesses issued, %d completed", res.Issued, res.Completed)
-	}
-	for b := 0; b < cfg.Borrowers; b++ {
-		bn := p.Borrowers[b]
+	for _, bn := range p.Borrowers {
 		be := bn.Backend()
 		res.Poisoned += be.Poisoned()
 		res.Expired += be.Expired()
 		res.TranslationFaults += bn.NIC.Stats().TranslationFaults
-		st := bn.ARQ.Stats()
-		if got := be.Reads() + be.Writes(); got != st.Tracked+be.ExpiredUnsent() {
-			viol("borrower %d exactly-once: port completed %d, ARQ tracked %d + expired-unsent %d",
-				b, got, st.Tracked, be.ExpiredUnsent())
-		}
-		if st.Tracked != st.Completed+st.Dead {
-			viol("borrower %d ARQ accounting: tracked %d != completed %d + dead %d",
-				b, st.Tracked, st.Completed, st.Dead)
-		}
 	}
-	liveOn := make([]uint64, cfg.Lenders)
-	for b := range live {
-		for _, r := range live[b] {
-			liveOn[r.Lender] += r.Segment.Size
-		}
+	if res.Issued != res.Completed {
+		res.Violations = append(res.Violations, fmt.Sprintf("completion: %d accesses issued, %d completed", res.Issued, res.Completed))
 	}
-	for l, ln := range p.Lenders {
-		a := ln.Alloc
-		if a.Allocated()+a.FreeBytes() != a.Capacity() {
-			viol("lender %d capacity leak: %d allocated + %d free != %d",
-				l, a.Allocated(), a.FreeBytes(), a.Capacity())
-		}
-		if a.Allocated() != liveOn[l] {
-			viol("lender %d allocator holds %d bytes, live regions sum to %d",
-				l, a.Allocated(), liveOn[l])
-		}
-	}
+	res.Violations = append(res.Violations, p.Audit()...)
 	if p.Switch != nil && p.Switch.Dropped() != 0 {
-		viol("switch dropped %d beats", p.Switch.Dropped())
+		res.Violations = append(res.Violations, fmt.Sprintf("switch dropped %d beats", p.Switch.Dropped()))
 	}
 	if len(res.Violations) > 0 {
 		o.Metrics.DumpOnAuditFailure("pool-chaos", res.Violations)

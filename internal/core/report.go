@@ -315,6 +315,11 @@ func (r *Report) Render(w io.Writer) error {
 			p("  %-5s level=%-8g %.3f GB/s  retrans=%-5d dead=%-3d downs=%-2d mean recovery %.4g us\n",
 				pt.Scenario, pt.Level, pt.BandwidthGBs, pt.Retransmits, pt.Dead, pt.Downs, pt.MeanRecoveryUs)
 		}
+		for _, pt := range append([]RecoveryPoint{rec.Baseline}, rec.Points...) {
+			for _, v := range pt.Violations {
+				p("  VIOLATION %s level=%g: %s\n", pt.Scenario, pt.Level, v)
+			}
+		}
 		p("\n")
 		if err := rec.Figure.RenderASCII(w, 60, 10); err != nil {
 			return err

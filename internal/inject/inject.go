@@ -102,23 +102,6 @@ func (c Constant) Mean() sim.Duration { return c.D }
 // Name implements Dist.
 func (c Constant) Name() string { return fmt.Sprintf("constant(%v)", c.D) }
 
-// Uniform is uniform on [Lo, Hi].
-type Uniform struct{ Lo, Hi sim.Duration }
-
-// Draw samples uniformly.
-func (u Uniform) Draw(r *sim.Rand) sim.Duration {
-	if u.Hi <= u.Lo {
-		return u.Lo
-	}
-	return u.Lo + sim.Duration(r.Int63n(int64(u.Hi-u.Lo)+1))
-}
-
-// Mean returns (Lo+Hi)/2.
-func (u Uniform) Mean() sim.Duration { return (u.Lo + u.Hi) / 2 }
-
-// Name implements Dist.
-func (u Uniform) Name() string { return fmt.Sprintf("uniform[%v,%v]", u.Lo, u.Hi) }
-
 // Exponential has the given mean.
 type Exponential struct{ MeanD sim.Duration }
 
@@ -132,32 +115,6 @@ func (e Exponential) Mean() sim.Duration { return e.MeanD }
 
 // Name implements Dist.
 func (e Exponential) Name() string { return fmt.Sprintf("exp(mean=%v)", e.MeanD) }
-
-// LogNormal has log-space parameters Mu (of a delay measured in
-// picoseconds) and Sigma.
-type LogNormal struct {
-	Mu    float64
-	Sigma float64
-}
-
-// LogNormalFromMedian builds a LogNormal with the given median delay and
-// log-space sigma.
-func LogNormalFromMedian(median sim.Duration, sigma float64) LogNormal {
-	return LogNormal{Mu: math.Log(float64(median)), Sigma: sigma}
-}
-
-// Draw samples a lognormal variate.
-func (l LogNormal) Draw(r *sim.Rand) sim.Duration {
-	return sim.Duration(math.Exp(l.Mu + l.Sigma*r.NormFloat64()))
-}
-
-// Mean returns exp(mu + sigma^2/2).
-func (l LogNormal) Mean() sim.Duration {
-	return sim.Duration(math.Exp(l.Mu + l.Sigma*l.Sigma/2))
-}
-
-// Name implements Dist.
-func (l LogNormal) Name() string { return fmt.Sprintf("lognormal(mu=%.3g,sigma=%.3g)", l.Mu, l.Sigma) }
 
 // Pareto is a bounded-minimum heavy-tailed distribution with shape Alpha
 // (> 1 for finite mean) and scale Xm (minimum delay).

@@ -145,25 +145,6 @@ func TestConstantDist(t *testing.T) {
 	}
 }
 
-func TestUniformDist(t *testing.T) {
-	u := Uniform{Lo: 10, Hi: 20}
-	r := sim.NewRand(2)
-	var sum float64
-	for i := 0; i < 100000; i++ {
-		d := u.Draw(r)
-		if d < 10 || d > 20 {
-			t.Fatalf("out of range: %v", d)
-		}
-		sum += float64(d)
-	}
-	if mean := sum / 100000; mean < 14.8 || mean > 15.2 {
-		t.Fatalf("uniform mean = %v", mean)
-	}
-	if u.Mean() != 15 {
-		t.Fatalf("Mean() = %v", u.Mean())
-	}
-}
-
 func TestExponentialDist(t *testing.T) {
 	e := Exponential{MeanD: 1000}
 	r := sim.NewRand(3)
@@ -173,30 +154,6 @@ func TestExponentialDist(t *testing.T) {
 	}
 	if mean := sum / 200000; math.Abs(mean-1000) > 30 {
 		t.Fatalf("exp mean = %v", mean)
-	}
-}
-
-func TestLogNormalDist(t *testing.T) {
-	l := LogNormalFromMedian(1000, 0.5)
-	r := sim.NewRand(4)
-	var samples []float64
-	for i := 0; i < 50000; i++ {
-		samples = append(samples, float64(l.Draw(r)))
-	}
-	// Median should be near 1000.
-	var below int
-	for _, s := range samples {
-		if s < 1000 {
-			below++
-		}
-	}
-	frac := float64(below) / float64(len(samples))
-	if frac < 0.47 || frac > 0.53 {
-		t.Fatalf("median fraction = %v", frac)
-	}
-	wantMean := 1000 * math.Exp(0.5*0.5/2)
-	if got := float64(l.Mean()); math.Abs(got-wantMean) > 1 {
-		t.Fatalf("Mean() = %v, want %v", got, wantMean)
 	}
 }
 
@@ -328,9 +285,7 @@ func TestTraceGateValidation(t *testing.T) {
 func TestDistNames(t *testing.T) {
 	for _, d := range []Dist{
 		Constant{D: sim.Duration(sim.Microsecond)},
-		Uniform{Lo: 1, Hi: 2},
 		Exponential{MeanD: 3},
-		LogNormal{Mu: 1, Sigma: 2},
 		Pareto{Xm: 4, Alpha: 2},
 	} {
 		if d.Name() == "" {

@@ -58,9 +58,11 @@ type Hierarchy struct {
 
 	// freeAccess and freeFills recycle the per-access join contexts and
 	// per-miss fill continuations, so a warmed-up hierarchy resolves
-	// misses without allocating.
+	// misses without allocating; live counts both kinds borrowed and not
+	// yet returned.
 	freeAccess *accessCtx
 	freeFills  *fillCtx
+	live       int
 }
 
 // accessCtx joins a multi-line access: it counts outstanding fills and
@@ -104,6 +106,7 @@ func (fc *fillCtx) Handle(stage uint64) {
 	fc.ac = nil
 	fc.next = h.freeFills
 	h.freeFills = fc
+	h.live--
 	h.mshr.Release()
 	ac.n--
 	if ac.n == 0 && ac.done != nil {
@@ -111,6 +114,7 @@ func (fc *fillCtx) Handle(stage uint64) {
 		ac.done = nil
 		ac.next = h.freeAccess
 		h.freeAccess = ac
+		h.live--
 		done()
 	}
 }
@@ -138,6 +142,10 @@ func (h *Hierarchy) CacheStats() cache.Stats { return h.llc.Stats() }
 
 // FillLatency returns the line-fill latency distribution (microseconds).
 func (h *Hierarchy) FillLatency() *metrics.Histogram { return h.fillLat }
+
+// ContextsLive returns the access join contexts and fill continuations
+// borrowed and not yet returned: 0 once every access resolved.
+func (h *Hierarchy) ContextsLive() int { return h.live }
 
 // OutstandingFills returns the MSHRs currently in use.
 func (h *Hierarchy) OutstandingFills() int { return h.mshr.InUse() }
@@ -201,6 +209,7 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool, done func()) {
 				h.freeAccess = ac.next
 				ac.next = nil
 			}
+			h.live++
 		}
 		ac.n++
 		lineAddr := a
@@ -216,6 +225,7 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool, done func()) {
 			h.freeFills = fc.next
 			fc.next = nil
 		}
+		h.live++
 		fc.ac, fc.lineAddr, fc.issued, fc.sp = ac, lineAddr, h.k.Now(), sp
 		h.mshr.AcquireH(fc, 0)
 	}

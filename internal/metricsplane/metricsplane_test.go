@@ -223,8 +223,8 @@ func TestNilPlaneAndInstrumentsAreInert(t *testing.T) {
 	var p *Plane
 	p.SetRun("x")
 	p.SetPhase("y")
-	p.SweepPlanned(3)
-	p.SweepPointDone()
+	p.ExperimentsPlanned(3)
+	p.ExperimentDone()
 	p.DumpOnAuditFailure("c", []string{"v"})
 	if p.Snapshot() != nil || p.Registry() != nil || p.Recorder() != nil {
 		t.Fatal("nil plane leaked state")

@@ -21,7 +21,7 @@ import (
 //
 //	/metrics  Prometheus text exposition v0.0.4
 //	/healthz  200 "ok"
-//	/status   JSON RunStatus (run, phase, sweep progress, SLOs)
+//	/status   JSON RunStatus (run, phase, experiment progress, SLOs)
 //	/stream   NDJSON snapshots (one per second; ?n=K stops after K)
 //	/events   NDJSON flight-recorder contents
 type Server struct {

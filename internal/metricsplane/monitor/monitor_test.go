@@ -30,8 +30,8 @@ func TestMonitorEndpoints(t *testing.T) {
 	p := metricsplane.New()
 	p.SetRun("unit run")
 	p.SetPhase("scraping")
-	p.SweepPlanned(4)
-	p.SweepPointDone()
+	p.ExperimentsPlanned(4)
+	p.ExperimentDone()
 	// Two fills on node 0, one of them a poisoned write: the latency
 	// histogram and recorder are pushed, the counters pulled when the
 	// kernel returns.
@@ -75,7 +75,7 @@ func TestMonitorEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/status not JSON: %v\n%s", err, body)
 	}
-	if st.Run != "unit run" || st.Phase != "scraping" || st.SweepDone != 1 || st.SweepPlanned != 4 {
+	if st.Run != "unit run" || st.Phase != "scraping" || st.ExperimentsDone != 1 || st.ExperimentsPlanned != 4 {
 		t.Fatalf("/status %+v", st)
 	}
 	if len(st.SLO) != 1 || st.SLO[0].Fills != 2 {

@@ -16,16 +16,16 @@ type Plane struct {
 	reg *Registry
 	rec *FlightRecorder
 
-	mu        sync.Mutex
-	slo       SLOConfig
-	fills     map[int]*Histogram // node -> shared-port fill latency, for SLO eval
-	run       string
-	phase     string
-	started   time.Time
-	dumpTo    io.Writer
-	stageObs  map[string]stageHandles
-	sweepDone *Counter
-	sweepAll  *Gauge
+	mu       sync.Mutex
+	slo      SLOConfig
+	fills    map[int]*Histogram // node -> shared-port fill latency, for SLO eval
+	run      string
+	phase    string
+	started  time.Time
+	dumpTo   io.Writer
+	stageObs map[string]stageHandles
+	expDone  *Counter
+	expAll   *Gauge
 }
 
 type stageHandles struct {
@@ -43,8 +43,8 @@ func New() *Plane {
 		started: time.Now(),
 		dumpTo:  os.Stderr,
 	}
-	p.sweepDone = p.reg.Counter("thymesim_sweep_points_done_total", "Sweep points completed this run.", NewLabels())
-	p.sweepAll = p.reg.Gauge("thymesim_sweep_points_total", "Sweep points planned this run.", NewLabels())
+	p.expDone = p.reg.Counter("thymesim_experiments_done_total", "Experiments completed this run.", NewLabels())
+	p.expAll = p.reg.Gauge("thymesim_experiments_total", "Experiments planned this run.", NewLabels())
 	return p
 }
 
@@ -112,17 +112,17 @@ func (p *Plane) SetDumpWriter(w io.Writer) {
 	p.mu.Unlock()
 }
 
-// SweepPlanned records how many sweep points the run will execute.
-func (p *Plane) SweepPlanned(n int) {
+// ExperimentsPlanned records how many experiments the run will execute.
+func (p *Plane) ExperimentsPlanned(n int) {
 	if p != nil {
-		p.sweepAll.Set(float64(n))
+		p.expAll.Set(float64(n))
 	}
 }
 
-// SweepPointDone counts a finished sweep point.
-func (p *Plane) SweepPointDone() {
+// ExperimentDone counts a finished experiment.
+func (p *Plane) ExperimentDone() {
 	if p != nil {
-		p.sweepDone.Inc()
+		p.expDone.Inc()
 	}
 }
 
@@ -252,13 +252,13 @@ func (p *Plane) SLO() []SLOStatus {
 
 // RunStatus is the payload of the /status endpoint.
 type RunStatus struct {
-	Run            string      `json:"run"`
-	Phase          string      `json:"phase"`
-	UptimeSeconds  float64     `json:"uptime_s"`
-	SweepDone      uint64      `json:"sweep_points_done"`
-	SweepPlanned   float64     `json:"sweep_points_planned"`
-	RecorderEvents uint64      `json:"recorder_events"`
-	SLO            []SLOStatus `json:"slo"`
+	Run                string      `json:"run"`
+	Phase              string      `json:"phase"`
+	UptimeSeconds      float64     `json:"uptime_s"`
+	ExperimentsDone    uint64      `json:"experiments_done"`
+	ExperimentsPlanned float64     `json:"experiments_planned"`
+	RecorderEvents     uint64      `json:"recorder_events"`
+	SLO                []SLOStatus `json:"slo"`
 }
 
 // Status assembles the current run status.
@@ -273,8 +273,8 @@ func (p *Plane) Status() RunStatus {
 		UptimeSeconds: time.Since(p.started).Seconds(),
 	}
 	p.mu.Unlock()
-	st.SweepDone = p.sweepDone.Value()
-	st.SweepPlanned = p.sweepAll.Value()
+	st.ExperimentsDone = p.expDone.Value()
+	st.ExperimentsPlanned = p.expAll.Value()
 	st.RecorderEvents = p.rec.Total()
 	st.SLO = p.SLO()
 	return st

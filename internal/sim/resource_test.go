@@ -295,18 +295,6 @@ func TestRandNormMoments(t *testing.T) {
 	}
 }
 
-func TestRandPermIsPermutation(t *testing.T) {
-	r := NewRand(17)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRandSplitIndependence(t *testing.T) {
 	parent := NewRand(21)
 	a := parent.Split()

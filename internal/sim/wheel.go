@@ -99,6 +99,7 @@ type TimerStats struct {
 	Fired     uint64 // timers whose handler actually ran
 	Fallback  uint64 // arms routed to the heap (beyond wheel span)
 	Pending   int    // timers currently armed (wheel slots + collected)
+	CellsLive int    // timer cells handed out and not yet recycled; 0 once drained
 }
 
 type timerWheel struct {
@@ -121,7 +122,10 @@ type timerWheel struct {
 	// cancellation; collection refreshes it.
 	nextLB Time
 
+	// free lists the recycled cells; live counts the cells alloc handed
+	// out and release has not taken back.
 	free *timerCell
+	live int
 
 	armed, cancelled, fired, fallback uint64
 }
@@ -143,6 +147,7 @@ func (w *timerWheel) alloc() *timerCell {
 	c := w.free
 	w.free = c.next
 	c.next = nil
+	w.live++
 	return c
 }
 
@@ -158,6 +163,7 @@ func (w *timerWheel) release(c *timerCell) {
 	c.lvl = cellFree
 	c.next = w.free
 	w.free = c
+	w.live--
 }
 
 // insert links an armed cell into the innermost level whose current window
@@ -364,6 +370,7 @@ func (k *Kernel) TimerStats() TimerStats {
 		Fired:     w.fired,
 		Fallback:  w.fallback,
 		Pending:   w.count + w.pendingHeap,
+		CellsLive: w.live,
 	}
 }
 
