@@ -117,6 +117,9 @@ func TestPoolAuditFlagsUndrainedRun(t *testing.T) {
 
 	p = burstPool(t, nil)
 	p.StepTo(sim.Time(sim.Microsecond))
+	if qs := p.K.QueueStats(); qs.Sources == 0 {
+		t.Fatalf("mid-burst: no beat in flight waits in a cable's source (%+v)", qs)
+	}
 	got := contracts(p.Audit())
 	for _, c := range []string{"kernel drained", "live counts zero", "exactly-once"} {
 		if !got[c] {

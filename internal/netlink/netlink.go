@@ -54,13 +54,26 @@ type Side struct {
 // freeing space re-kicks the channel.
 //
 // The in-flight beats form the segment, a FIFO ring: arrivals are
-// monotone, so each arrival retires the head. The counters read the
+// monotone, so each arrival retires the head, and they wait in the
+// channel's own kernel source, one heap entry however many beats are in
+// flight. Arrivals are appended in (at, seq) order because:
+//   - wireFree never decreases: a beat starts at max(ready, wireFree) and
+//     wireFree moves to its serialization end;
+//   - propagation + rx.Latency is constant, so booked-ahead arrivals
+//     (wireFree + propagation + rx.Latency) never decrease either;
+//   - paced serialization ends come one at a time, in order (one is armed
+//     at a time, at wireFree), and each books its arrival at its own
+//     instant + propagation + rx.Latency, no earlier than the last;
+//   - seq only grows.
+//
+// The source panics on an append out of order. The counters read the
 // segment against the clock, so that wire time booked ahead never counts
 // early: a beat counts as delivered once its propagation has ended, and
 // its serialization counts as busy wire time once it has started (a wire
 // server books a whole serialization at its start).
 type Channel struct {
 	k           *sim.Kernel
+	arrivals    sim.Source
 	tx, rx      Side
 	propagation sim.Duration
 	bytesPerSec float64
@@ -94,7 +107,7 @@ func (c *Channel) Handle(arg uint64) {
 	if arg == 1 {
 		// Order matters for determinism: the arrival is scheduled before
 		// the next beat can reach the wire.
-		c.k.AfterH(c.propagation+c.rx.Latency, c, 0)
+		c.arrivals.AtH(c.k.Now().Add(c.propagation+c.rx.Latency), c, 0)
 		c.armed = false
 		c.kick()
 		return
@@ -124,7 +137,7 @@ func NewChannel(k *sim.Kernel, tx, rx Side, bandwidthBps float64, propagation si
 		panic("netlink: a paced side feeds the wire directly and has no latency")
 	}
 	c := &Channel{
-		k: k, tx: tx, rx: rx,
+		k: k, arrivals: k.NewSource(), tx: tx, rx: rx,
 		propagation: propagation,
 		bytesPerSec: bandwidthBps,
 	}
@@ -218,7 +231,7 @@ func (c *Channel) kick() {
 			c.k.AtH(c.wireFree, c, 1)
 			return
 		}
-		c.k.AtH(c.wireFree.Add(c.propagation+c.rx.Latency), c, 0)
+		c.arrivals.AtH(c.wireFree.Add(c.propagation+c.rx.Latency), c, 0)
 	}
 }
 

@@ -1,6 +1,7 @@
 package netlink
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -365,5 +366,70 @@ func TestChannelNegativeSideLatencyPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestChannelArrivalsStayInOrder drives one channel through everything
+// that moves its arrival instants — a sender traversal, mixed beat sizes,
+// credit stalls behind a small, slowly drained receive queue, and the
+// paced mode — and checks the order argument Channel's comment makes:
+// beats land in push order (the arrivals source would panic on an append
+// out of order), and the source holds exactly the booked arrivals,
+// FlightsLive less a paced beat still on the wire, never more than the
+// receive queue's capacity.
+func TestChannelArrivalsStayInOrder(t *testing.T) {
+	for _, paced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("paced=%v", paced), func(t *testing.T) {
+			k := sim.NewKernel()
+			tx := axis.NewFIFO("tx", 64)
+			rx := axis.NewFIFO("rx", 5)
+			txSide := Side{Q: tx, Latency: 40 * sim.Nanosecond}
+			if paced {
+				txSide = Side{Q: tx, Paced: true}
+			}
+			c := NewChannel(k, txSide, Side{Q: rx, Latency: 25 * sim.Nanosecond}, 10e9, 60*sim.Nanosecond)
+			check := func() {
+				booked := c.FlightsLive()
+				if c.armed {
+					booked--
+				}
+				if n := c.arrivals.Len(); n != booked || n > rx.Cap() {
+					t.Fatalf("at %v: source holds %d arrivals, %d flights live (armed %v), rx cap %d",
+						k.Now(), n, c.FlightsLive(), c.armed, rx.Cap())
+				}
+			}
+			tx.OnSpace(check)
+			rx.OnData(check)
+			var got []int32
+			drain := func() bool {
+				check()
+				if b, ok := rx.Pop(); ok {
+					got = append(got, b.Dest)
+				}
+				return len(got) < 200
+			}
+			k.Ticker(35*sim.Nanosecond, drain)
+			sizes := []int32{64, 8, 256, 32, 1500, 64, 16}
+			next := int32(0)
+			k.Ticker(20*sim.Nanosecond, func() bool {
+				for n := 0; n < int(next%3)+1 && next < 200 && tx.Space() > 0; n++ {
+					tx.Push(axis.Beat{Bytes: sizes[next%int32(len(sizes))], Dest: next})
+					next++
+				}
+				return next < 200
+			})
+			k.Run()
+			if len(got) != 200 {
+				t.Fatalf("%d of 200 beats arrived", len(got))
+			}
+			for i, d := range got {
+				if d != int32(i) {
+					t.Fatalf("beat %d arrived in place %d", d, i)
+				}
+			}
+			if c.arrivals.Len() != 0 || c.FlightsLive() != 0 {
+				t.Fatalf("drained channel: source %d, flights %d", c.arrivals.Len(), c.FlightsLive())
+			}
+		})
 	}
 }

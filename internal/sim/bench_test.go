@@ -102,6 +102,66 @@ func BenchmarkKernelFixedDelays(b *testing.B) {
 	k.Run()
 }
 
+// ownerTick is one of BenchmarkKernelOwnerSources' owners. Each dispatch
+// schedules the owner's next event after a delay that varies from event
+// to event, but never before its previous one, as a cable's arrivals wait
+// for the wire: in its source, or through AtH for the heap variant.
+type ownerTick struct {
+	k    *Kernel
+	src  Source
+	heap bool
+	tail Time
+	x    uint64 // LCG state drawing the delay
+	n    *int
+	stop int
+}
+
+func (o *ownerTick) Handle(uint64) {
+	if *o.n++; *o.n == o.stop {
+		o.k.Stop()
+		return
+	}
+	o.x = o.x*6364136223846793005 + 1442695040888963407
+	at := o.k.Now().Add(100*Nanosecond + Duration(o.x>>56)*Nanosecond/2)
+	if at < o.tail {
+		at = o.tail
+	}
+	o.tail = at
+	if o.heap {
+		o.k.AtH(at, o, 0)
+	} else {
+		o.src.AtH(at, o, 0)
+	}
+}
+
+// BenchmarkKernelOwnerSources measures dispatch in the shape of a rack's
+// cables: 64 owners with 8 events each in flight, every event at its own
+// delay, which no fixed-delay lane can hold. "sources" keeps each owner's
+// events in its own Source, one heap entry per owner; "heap" schedules
+// the same events with AtH, one heap entry per event.
+func BenchmarkKernelOwnerSources(b *testing.B) {
+	for _, heap := range []bool{false, true} {
+		name := "sources"
+		if heap {
+			name = "heap"
+		}
+		b.Run(name, func(b *testing.B) {
+			k := NewKernel()
+			n := 0
+			for i := 0; i < 64; i++ {
+				o := &ownerTick{k: k, src: k.NewSource(), heap: heap, x: uint64(i), n: &n, stop: b.N}
+				for j := 0; j < 8; j++ {
+					o.Handle(0)
+				}
+			}
+			n = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			k.Run()
+		})
+	}
+}
+
 // BenchmarkCreditPoolCycle measures acquire/release round trips.
 func BenchmarkCreditPoolCycle(b *testing.B) {
 	k := NewKernel()

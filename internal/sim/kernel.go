@@ -32,18 +32,18 @@ func (f Func) Handle(uint64) { f() }
 // An event is one heap record: the instant, the seq that breaks ties so
 // that events at equal timestamps run in scheduling order, and a slot.
 // The slot either names the kernel's callee table entry holding the
-// event's (Handler, arg), or, with laneFlag set, the fixed-delay lane
-// whose head the entry stands for. The record is 24 bytes and holds no
-// pointer, so sifting it needs no write barrier and the heap's backing
-// array is never scanned by the GC.
+// event's (Handler, arg), or, with laneFlag set, the fixed-delay lane or
+// owner source whose head the entry stands for. The record is 24 bytes and
+// holds no pointer, so sifting it needs no write barrier and the heap's
+// backing array is never scanned by the GC.
 type event struct {
 	at   Time
 	seq  uint64
 	slot uint64
 }
 
-// laneFlag marks a heap entry that stands for a lane; the low bits are the
-// lane's index in Kernel.lanes.
+// laneFlag marks a heap entry that stands for a lane or a source; the low
+// bits are its index in Kernel.lanes.
 const laneFlag = 1 << 63
 
 // A callee is the (Handler, arg) pair a heap event dispatches, parked in
@@ -105,11 +105,11 @@ func (h *eventPQ) pop() (Time, uint64) {
 }
 
 // siftDown fills the hole at the root with (at, seq, slot), moving the
-// hole down instead of swapping. pop fills it with the tail; a lane's
-// dispatch re-keys its own entry with the lane's next head, which can only
-// be later, so one sift replaces a pop and a push. The best child's key is
-// kept in locals while the siblings are scanned, so no record is copied
-// until the hole moves.
+// hole down instead of swapping. pop fills it with the tail; a lane's or
+// source's dispatch re-keys its own entry with its next head, which can
+// only be later, so one sift replaces a pop and a push. The best child's
+// key is kept in locals while the siblings are scanned, so no record is
+// copied until the hole moves.
 func (q eventPQ) siftDown(at Time, seq, slot uint64) {
 	n := len(q)
 	i := 0
@@ -152,8 +152,9 @@ type ringEvent struct {
 	h   Handler
 }
 
-// A laneEvent is one event waiting in a lane. Lanes are FIFOs that are
-// never sifted, so they keep the callee inline rather than in a slot.
+// A laneEvent is one event waiting in a lane or source. Both are FIFOs
+// that are never sifted, so they keep the callee inline rather than in a
+// slot.
 type laneEvent struct {
 	at  Time
 	seq uint64
@@ -164,10 +165,13 @@ type laneEvent struct {
 // A lane is a FIFO ring of events that were all scheduled with the same
 // delay d. The clock never goes back and seq only grows, so events appended
 // with a fixed delay arrive already sorted by (at, seq): only the head
-// needs a place in the heap.
+// needs a place in the heap. A Source's FIFO is a lane too, keyed by its
+// owner instead of by a delay.
 type lane struct {
-	d    Duration
-	last Time        // instant of the latest delay-d event sent to the heap
+	d Duration
+	// last is, for a delay lane, the instant of the latest delay-d event
+	// sent to the heap; for a source, the instant of its latest append.
+	last Time
 	buf  []laneEvent // ring; length is zero or a power of two
 	head int
 	n    int
@@ -195,7 +199,8 @@ const (
 	laneSlots = 1 << laneBits
 
 	// laneGate is the number of pending future events (heap entries plus
-	// lane-held events) from which AtH routes through the lanes at all.
+	// the events queued behind lane and source heads) from which AtH
+	// routes through the lanes at all.
 	// Below it a heap push is cheaper than the lane bookkeeping, so
 	// single-testbed runs, whose heaps hold a handful of events, keep
 	// the plain heap path.
@@ -208,20 +213,22 @@ func laneSlot(d Duration) uint64 { return uint64(d) * 0x9e3779b97f4a7c15 >> (64 
 
 // Kernel is a single-threaded discrete-event scheduler: one (at, seq)
 // heap, the immediate ring for same-instant events, fixed-delay lanes for
-// future events whose delay repeats, and a timer wheel whose due timers
+// future events whose delay repeats, owner sources for components whose
+// own events come in (at, seq) order, and a timer wheel whose due timers
 // are collected into the heap. The zero value is not usable; create
 // kernels with NewKernel.
 //
 // The heap holds pointer-free records. An event that waits in the heap
 // parks its (Handler, arg) in the slot table, a slice reused through a
 // LIFO free list so a dispatch's follow-up schedule takes back the slot
-// it just freed, still hot in cache; a lane's entry names the lane
+// it just freed, still hot in cache; a lane's or source's entry names it
 // instead.
 //
 // Every pending event waits in exactly one of these places, and each is
-// sorted by (at, seq): the ring and every lane because they are appended
-// in seq order at non-decreasing instants, the heap by construction. The
-// heap holds each non-empty lane's head and each collected timer, so its
+// sorted by (at, seq): the ring, every lane and every source because they
+// are appended in seq order at non-decreasing instants (a source checks
+// this on each append), the heap by construction. The heap holds each
+// non-empty lane's and source's head and each collected timer, so its
 // root is the minimum of everything except the ring and the wheel, which
 // step and collectTimers merge in. (at, seq) is a strict total order, and
 // any correct merge of sorted queues yields the same sequence, so where an
@@ -237,21 +244,25 @@ type Kernel struct {
 	seq       uint64
 	processed uint64
 
-	// laneExtra counts lane-held events behind their lane's head; the
-	// heads are counted by the heap entries standing for them.
-	laneExtra int
+	// queued counts the events waiting in a lane or source behind its
+	// head; the heads are counted by the heap entries standing for them.
+	queued int
 
 	// QueueStats counters.
-	pqHigh    int
-	toHeap    uint64
-	toLanes   uint64
-	lanesBusy int
-	lanesHigh int
+	pqHigh      int
+	toHeap      uint64
+	toLanes     uint64
+	lanesBusy   int
+	lanesHigh   int
+	toSources   uint64
+	sourcesBusy int
+	sourcesHigh int
 
 	running bool
 	stopped bool
 	tw      timerWheel // cancellable timers (ArmTimer/CancelTimer)
-	lanes   [laneSlots]lane
+	// lanes holds the laneSlots delay lanes, then one lane per Source.
+	lanes []lane
 
 	// publish holds the OnPublish hooks.
 	publish []func()
@@ -260,23 +271,29 @@ type Kernel struct {
 // QueueStats reports where the kernel's future events waited, since the
 // kernel was created.
 type QueueStats struct {
-	HeapHigh  int    // most entries the heap held at once; a busy lane is one entry
-	ToLanes   uint64 // AtH/AfterH events past the current instant that waited in a lane
-	ToHeap    uint64 // AtH/AfterH events past the current instant that waited in the heap
-	Lanes     int    // lanes holding events now
-	LanesHigh int    // most lanes holding events at once
-	Parked    int    // slot-table entries holding a callee now; 0 once drained
+	HeapHigh    int    // most entries the heap held at once; a busy lane or source is one entry
+	ToLanes     uint64 // AtH/AfterH events past the current instant that waited in a lane
+	ToHeap      uint64 // AtH/AfterH events past the current instant that waited in the heap
+	ToSources   uint64 // Source.AtH events, each of which waited in its source
+	Lanes       int    // lanes holding events now
+	LanesHigh   int    // most lanes holding events at once
+	Sources     int    // sources holding events now
+	SourcesHigh int    // most sources holding events at once
+	Parked      int    // slot-table entries holding a callee now; 0 once drained
 }
 
 // QueueStats returns the kernel's queue counters.
 func (k *Kernel) QueueStats() QueueStats {
 	return QueueStats{
-		HeapHigh:  k.pqHigh,
-		ToLanes:   k.toLanes,
-		ToHeap:    k.toHeap,
-		Lanes:     k.lanesBusy,
-		LanesHigh: k.lanesHigh,
-		Parked:    k.parked(),
+		HeapHigh:    k.pqHigh,
+		ToLanes:     k.toLanes,
+		ToHeap:      k.toHeap,
+		ToSources:   k.toSources,
+		Lanes:       k.lanesBusy,
+		LanesHigh:   k.lanesHigh,
+		Sources:     k.sourcesBusy,
+		SourcesHigh: k.sourcesHigh,
+		Parked:      k.parked(),
 	}
 }
 
@@ -295,7 +312,7 @@ func (k *Kernel) parked() int {
 
 // NewKernel returns a kernel whose clock starts at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{}
+	k := &Kernel{lanes: make([]lane, laneSlots)}
 	k.tw.nextLB = MaxTime
 	return k
 }
@@ -304,10 +321,10 @@ func NewKernel() *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports how many events are scheduled but not yet dispatched,
-// including timers still waiting in the wheel (collected timers are
-// already in the heap and counted there).
+// including events in lanes and sources and timers still waiting in the
+// wheel (collected timers are already in the heap and counted there).
 func (k *Kernel) Pending() int {
-	return len(k.pq) + k.laneExtra + len(k.iq) - k.iqHead + k.tw.count
+	return len(k.pq) + k.queued + len(k.iq) - k.iqHead + k.tw.count
 }
 
 // Processed reports the total number of events dispatched so far.
@@ -351,7 +368,7 @@ func (k *Kernel) AtH(t Time, h Handler, arg uint64) {
 		panic("sim: scheduling a nil handler")
 	}
 	k.seq++
-	if len(k.pq)+k.laneExtra >= laneGate && k.toLane(t, h, arg) {
+	if len(k.pq)+k.queued >= laneGate && k.toLane(t, h, arg) {
 		return
 	}
 	k.push(t, k.seq, arg, h)
@@ -370,7 +387,7 @@ func (k *Kernel) toLane(t Time, h Handler, arg uint64) bool {
 		if ln.d != d {
 			return false
 		}
-		k.laneExtra++
+		k.queued++
 	case ln.d == d && ln.last > k.now:
 		k.pushEntry(t, k.seq, laneFlag|s)
 		if k.lanesBusy++; k.lanesBusy > k.lanesHigh {
@@ -421,6 +438,58 @@ func (k *Kernel) AfterH(d Duration, h Handler, arg uint64) {
 // already scheduled for this instant.
 func (k *Kernel) PostH(h Handler, arg uint64) { k.AtH(k.now, h, arg) }
 
+// A Source is an event FIFO owned by one component, whose events the owner
+// schedules in (at, seq) order. Like a delay lane, a source takes one heap
+// entry for its head however many events it holds, so a component with
+// many events in flight at varying delays (a cable's arrivals, each
+// delayed by its wait for the wire) keeps the heap shallow. seq is drawn
+// at append time exactly as by AtH, so where an event waits changes
+// nothing about when it fires. The zero value is not usable; create
+// sources with Kernel.NewSource.
+type Source struct {
+	k *Kernel
+	i uint64 // index in k.lanes
+}
+
+// NewSource returns an empty source on k.
+func (k *Kernel) NewSource() Source {
+	k.lanes = append(k.lanes, lane{})
+	return Source{k: k, i: uint64(len(k.lanes) - 1)}
+}
+
+// Len returns the number of events waiting in the source.
+func (s Source) Len() int { return s.k.lanes[s.i].n }
+
+// AtH appends h.Handle(arg) at the absolute instant t to the source. An
+// instant before now, or before the source's latest append, panics: the
+// first would corrupt causality and the second the source's order, and
+// both are model bugs.
+func (s Source) AtH(t Time, h Handler, arg uint64) {
+	k := s.k
+	if t < k.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
+	}
+	if h == nil {
+		panic("sim: scheduling a nil handler")
+	}
+	ln := &k.lanes[s.i]
+	if t < ln.last {
+		panic(fmt.Sprintf("sim: source event at %v before the source's latest at %v", t, ln.last))
+	}
+	ln.last = t
+	k.seq++
+	if ln.n > 0 {
+		k.queued++
+	} else {
+		k.pushEntry(t, k.seq, laneFlag|s.i)
+		if k.sourcesBusy++; k.sourcesBusy > k.sourcesHigh {
+			k.sourcesHigh = k.sourcesBusy
+		}
+	}
+	ln.add(t, k.seq, arg, h)
+	k.toSources++
+}
+
 // Stop makes the currently executing Run/RunUntil/StepTo return after the
 // current event completes. Pending events remain queued.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -469,12 +538,13 @@ func (k *Kernel) step(limit Time) bool {
 	return true
 }
 
-// stepLane dispatches the head of the lane whose entry is the heap root.
-// A lane with events left re-keys its entry with its next head, which is
-// later than the one dispatched; an emptied lane leaves the heap.
+// stepLane dispatches the head of the lane or source whose entry is the
+// heap root. One with events left re-keys its entry with its next head,
+// which is later than the one dispatched; an emptied one leaves the heap.
 func (k *Kernel) stepLane() {
 	slot := k.pq[0].slot
-	ln := &k.lanes[slot&^laneFlag]
+	i := slot &^ laneFlag
+	ln := &k.lanes[i]
 	e := &ln.buf[ln.head]
 	at, h, arg := e.at, e.h, e.arg
 	e.h = nil // release the handler for GC
@@ -482,10 +552,14 @@ func (k *Kernel) stepLane() {
 	if ln.n--; ln.n > 0 {
 		nx := &ln.buf[ln.head]
 		k.pq.siftDown(nx.at, nx.seq, slot)
-		k.laneExtra--
+		k.queued--
 	} else {
 		k.pq.pop()
-		k.lanesBusy--
+		if i < laneSlots {
+			k.lanesBusy--
+		} else {
+			k.sourcesBusy--
+		}
 	}
 	k.now = at
 	k.processed++

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -352,6 +353,21 @@ func TestKernelStepTo(t *testing.T) {
 			waits: func(k *Kernel) bool { return k.QueueStats().Lanes == 1 },
 		},
 		{
+			// The event at t waits in a source behind the ones before it,
+			// one of them at the same instant as another.
+			name: "source",
+			build: func(k *Kernel, r *stepRec) {
+				src := k.NewSource()
+				for _, at := range []Time{10, 20, 20, 30, 40} {
+					src.AtH(at, r, 0)
+				}
+			},
+			to: 30, before: []Time{10, 20, 20},
+			waits: func(k *Kernel) bool {
+				return k.QueueStats().Sources == 1 && len(k.pq) == 1 && k.pq[0].at == 30
+			},
+		},
+		{
 			// A deadline on a tick boundary: its slot starts at t, so the
 			// timer is still linked into the wheel.
 			name: "wheel",
@@ -412,6 +428,79 @@ func TestKernelStepTo(t *testing.T) {
 				t.Fatalf("stopped StepTo(%v) dispatched at %v, want %v", tc.to, r.fired, tc.before)
 			}
 		})
+	}
+}
+
+// TestSourceOutOfOrderAppendPanics: a source append before the source's
+// latest, or before now, is a model bug, and the panic names both
+// instants.
+func TestSourceOutOfOrderAppendPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		now, tail Time
+		at        Time
+		want      []string
+	}{
+		{"before tail", 0, 30 * Time(Nanosecond), 20 * Time(Nanosecond), []string{"20ns", "30ns"}},
+		{"before now", 50 * Time(Nanosecond), 0, 40 * Time(Nanosecond), []string{"40ns", "50ns"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			k.StepTo(tc.now)
+			src := k.NewSource()
+			nop := Func(func() {})
+			if tc.tail > 0 {
+				src.AtH(tc.tail, nop, 0)
+			}
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, w := range tc.want {
+					if !strings.Contains(msg, w) {
+						t.Fatalf("panic %q does not name %s", msg, w)
+					}
+				}
+			}()
+			src.AtH(tc.at, nop, 0)
+		})
+	}
+}
+
+// TestSourcePendingAndStats: Pending counts every event a source holds,
+// not only its head, so a drained-kernel check sees them, and QueueStats
+// reports the source's traffic. An append at the current instant waits in
+// the source too and still fires in seq order with the ring.
+func TestSourcePendingAndStats(t *testing.T) {
+	k := NewKernel()
+	r := &stepRec{k: k}
+	a, b := k.NewSource(), k.NewSource()
+	a.AtH(10, r, 0)
+	a.AtH(10, r, 0)
+	a.AtH(40, r, 0)
+	b.AtH(20, r, 0)
+	if got := k.Pending(); got != 4 {
+		t.Fatalf("Pending() = %d with four source-held events, want 4", got)
+	}
+	if qs := k.QueueStats(); qs.ToSources != 4 || qs.Sources != 2 || qs.SourcesHigh != 2 || qs.HeapHigh != 2 {
+		t.Fatalf("QueueStats() = %+v", qs)
+	}
+	k.StepTo(11)
+	if got := k.Pending(); got != 2 {
+		t.Fatalf("Pending() = %d after the two events at 10, want 2", got)
+	}
+	var order []int
+	k.PostH(Func(func() { order = append(order, 1) }), 0)
+	k.NewSource().AtH(11, Func(func() { order = append(order, 2) }), 0)
+	k.PostH(Func(func() { order = append(order, 3) }), 0)
+	k.StepTo(12)
+	if fmt.Sprint(order) != "[1 2 3]" {
+		t.Fatalf("an append at now fired in order %v, want [1 2 3]", order)
+	}
+	k.Run()
+	if qs := k.QueueStats(); k.Pending() != 0 || qs.Sources != 0 || qs.ToSources != 5 {
+		t.Fatalf("drained: Pending() = %d, %+v", k.Pending(), qs)
+	}
+	if fmt.Sprint(r.fired) != "[10ps 10ps 20ps 40ps]" {
+		t.Fatalf("fired at %v", r.fired)
 	}
 }
 

@@ -44,6 +44,11 @@ type orderRun struct {
 	log    []uint64
 
 	timers []timerRef // armed timers, live or cancelled
+
+	// srcs are owner sources; tails[i] is the instant of srcs[i]'s latest
+	// append, which its next append may not precede.
+	srcs  []Source
+	tails []Time
 }
 
 // timerRef is an armed timer. A cancelled timer may still sit in the heap
@@ -93,23 +98,39 @@ func (r *orderRun) op() {
 	}
 	k := r.k
 	switch b := r.byte(); {
-	case b < 120:
+	case b < 100:
 		r.budget--
 		d := r.delay()
 		k.AfterH(d, r, r.add(k.Now().Add(d)))
-	case b < 150:
+	case b < 125:
 		r.budget--
 		at := k.Now().Add(r.delay())
 		k.AtH(at, r, r.add(at))
-	case b < 170:
+	case b < 145:
 		r.budget--
 		at := k.Now().Add(r.delay())
 		id := r.add(at)
 		k.At(at, func() { r.fire(id) })
-	case b < 190:
+	case b < 160:
 		r.budget--
 		id := r.add(k.Now())
 		k.Post(func() { r.fire(id) })
+	case b < 190:
+		// An owner source's append, shaped like a cable's arrivals: a
+		// varying delay, but never before the source's latest append,
+		// which it lands on or just after as a beat waits for the wire.
+		// Sometimes the append is at the current instant.
+		r.budget--
+		i := int(r.byte()) % len(r.srcs)
+		at := k.Now()
+		if r.byte() >= 32 {
+			at = at.Add(r.delay())
+		}
+		if at < r.tails[i] {
+			at = r.tails[i].Add(Duration(r.byte() % 4))
+		}
+		r.tails[i] = at
+		r.srcs[i].AtH(at, r, r.add(at))
 	case b < 225:
 		r.budget--
 		d := r.delay()
@@ -232,6 +253,10 @@ func (r *orderRun) stepTo(to Time) {
 // scheduled was dispatched.
 func runOrderProgram(t testing.TB, prog []byte, depth, budget int) *orderRun {
 	r := &orderRun{t: t, k: NewKernel(), prog: prog, depth: depth, budget: budget, bound: MaxTime}
+	for i := 0; i < 3; i++ {
+		r.srcs = append(r.srcs, r.k.NewSource())
+		r.tails = append(r.tails, 0)
+	}
 	for i := 0; i < depth; i++ {
 		d := r.delay()
 		r.k.AfterH(d, r, r.add(Time(d)))
@@ -254,12 +279,12 @@ func runOrderProgram(t testing.TB, prog []byte, depth, budget int) *orderRun {
 }
 
 // TestKernelOrderMatchesReference runs random programs mixing repeated and
-// random delays, absolute and closure schedules, same-instant posts and
-// cancellable timers, with handlers scheduling more work and the driver
-// stepping the kernel in StepTo phases. The
-// shallow variant stays below the lane gate, where every future event
-// takes the heap; the deep one keeps a rack-like population pending, so
-// lanes carry most of it.
+// random delays, absolute and closure schedules, same-instant posts,
+// appends to owner sources and cancellable timers, with handlers
+// scheduling more work and the driver stepping the kernel in StepTo
+// phases. The shallow variant stays below the lane gate, where every
+// future event outside a source takes the heap; the deep one keeps a
+// rack-like population pending, so lanes carry most of it.
 func TestKernelOrderMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -278,6 +303,9 @@ func TestKernelOrderMatchesReference(t *testing.T) {
 				}
 				r := runOrderProgram(t, prog, tc.depth, tc.budget)
 				qs := r.k.QueueStats()
+				if qs.ToSources == 0 || qs.SourcesHigh == 0 || qs.Sources != 0 {
+					t.Fatalf("sources: %+v, want some events through them and none left", qs)
+				}
 				if tc.wantLanes && qs.ToLanes <= qs.ToHeap {
 					t.Fatalf("deep run: %d events took lanes, %d the heap; want lanes to carry most", qs.ToLanes, qs.ToHeap)
 				}
